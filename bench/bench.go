@@ -29,6 +29,9 @@ type Result struct {
 	// cells' pending_garbage and reclaimed counts); nil when the cell has
 	// none.
 	Gauges map[string]float64
+	// Percent is the headline of a cell that reports a rate (an
+	// elimination hit rate) instead of throughput; see ScenarioAlgo.Percent.
+	Percent float64
 }
 
 // Throughput returns million operations per second.
@@ -260,7 +263,8 @@ func (s *KeyStream) Next() uint64 {
 type Point struct {
 	// X is the sweep parameter (usually thread count).
 	X int
-	// Mops is throughput in million ops/sec.
+	// Mops is the record's headline value: throughput in million ops/sec
+	// (microseconds in the p99 tables, a percentage in hit-rate rows).
 	Mops float64
 }
 
@@ -268,60 +272,23 @@ type Point struct {
 type Series struct {
 	// Label names the algorithm/configuration.
 	Label string
-	// Unit names what the Mops column actually carries; empty means
-	// UnitMops. A few tables reuse the column for derived metrics (hit
-	// rates), and the unit keeps their Report records honest.
-	Unit string
-	// Family overrides the figure's family for this series' records.
-	// Cross-family tables (the T1 overview) use it so each row lands in
-	// its own structure family in a Report.
-	Family string
 	// Points are the samples in sweep order.
 	Points []Point
 }
 
 // Figure is a rendered experiment: several series over a shared sweep.
+// Figures are the text-mode view of an experiment's records; see
+// Experiment.Run.
 type Figure struct {
-	// ID is the experiment identifier from DESIGN.md (e.g. "F1").
+	// ID is the experiment identifier (e.g. "F1"); the experiment index
+	// is the Experiments list.
 	ID string
 	// Title describes the figure.
 	Title string
-	// Family is the structure family the figure measures ("queue",
-	// "locks", ...); it labels the records derived from the figure.
-	Family string
 	// XLabel names the sweep parameter.
 	XLabel string
 	// Series are the curves.
 	Series []Series
-}
-
-// Records flattens the figure into Report records: one per (series,
-// point), labelled with the figure's family and title. Figure records
-// carry no latency percentiles — only scenario cells, measured with
-// RunLatency, have them.
-func (f Figure) Records() []Record {
-	var recs []Record
-	for _, s := range f.Series {
-		unit := s.Unit
-		if unit == "" {
-			unit = UnitMops
-		}
-		family := s.Family
-		if family == "" {
-			family = f.Family
-		}
-		for _, p := range s.Points {
-			recs = append(recs, Record{
-				Family:   family,
-				Algo:     s.Label,
-				Scenario: f.ID + ": " + f.Title,
-				Threads:  p.X,
-				Value:    p.Mops,
-				Unit:     unit,
-			})
-		}
-	}
-	return recs
 }
 
 // Render writes the figure as an aligned text table: one row per X value,

@@ -3,27 +3,15 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	cds "github.com/cds-suite/cds"
-	"github.com/cds-suite/cds/barrier"
-	"github.com/cds-suite/cds/cmap"
-	"github.com/cds-suite/cds/contend"
-	"github.com/cds-suite/cds/counter"
-	"github.com/cds-suite/cds/deque"
-	"github.com/cds-suite/cds/fc"
+	"github.com/cds-suite/cds/catalog"
 	"github.com/cds-suite/cds/internal/xrand"
-	"github.com/cds-suite/cds/list"
-	"github.com/cds-suite/cds/locks"
-	"github.com/cds-suite/cds/pqueue"
 	"github.com/cds-suite/cds/queue"
-	"github.com/cds-suite/cds/reclaim"
-	"github.com/cds-suite/cds/skiplist"
 	"github.com/cds-suite/cds/stack"
-	"github.com/cds-suite/cds/stm"
 )
 
 // Config controls an experiment run.
@@ -56,39 +44,71 @@ func (c Config) ops(def int) int {
 	return n
 }
 
-// Experiment is one reproducible figure or table from DESIGN.md.
+// Experiment is one reproducible figure, table or scenario family; the
+// list returned by Experiments is the experiment index.
 type Experiment struct {
-	// ID is the DESIGN.md identifier (F1..F12, T1..T3, A1..A4, S1..).
+	// ID is the experiment identifier (F1..F12, T1..T3, A1..A5, S1..).
 	ID string
 	// Title describes what the experiment shows.
 	Title string
-	// Run produces the figure(s).
-	Run func(cfg Config) []Figure
-	// Records produces Report records directly. It is set on experiments
-	// (the scenario matrix) whose native output is records with latency
-	// percentiles; when nil, BuildReport flattens Run's figures instead.
-	Records func(cfg Config) []Record
+	// XLabel names the sweep parameter in text tables; empty means threads.
+	XLabel string
+	// Scenarios returns the workloads the experiment measures.
+	Scenarios func() []Scenario
 }
 
-// Experiments returns the full suite: the DESIGN.md figures and tables
-// followed by the mixed-workload scenario matrix (S experiments).
+// Records measures the experiment: one record per planned cell.
+func (e Experiment) Records(cfg Config) []Record {
+	var recs []Record
+	for _, s := range e.Scenarios() {
+		recs = append(recs, s.Run(cfg)...)
+	}
+	return recs
+}
+
+// Run measures the experiment and renders the records as text-mode figures.
+func (e Experiment) Run(cfg Config) []Figure { return figures(e, e.Records(cfg)) }
+
+// Experiments returns the full suite: the figures and tables followed by
+// the mixed-workload scenario matrix (S experiments). The figures of the
+// catalogued families (F2–F8, F12) are derived from package catalog.
 func Experiments() []Experiment {
+	figure := func(group catalog.Cells, family string) func() []Scenario {
+		return func() []Scenario { return derived(group, family) }
+	}
 	return append([]Experiment{
-		{ID: "F1", Title: "Spin-lock scalability (tiny critical section)", Run: runF1},
-		{ID: "F2", Title: "Shared counter throughput", Run: runF2},
-		{ID: "F3", Title: "Stack algorithms, 50/50 push-pop", Run: runF3},
-		{ID: "F4", Title: "Queue algorithms, 50/50 enq-deq", Run: runF4},
-		{ID: "F5", Title: "List-based set progression, 90% reads", Run: runF5},
-		{ID: "F6", Title: "Hash map scalability by read ratio and skew", Run: runF6},
-		{ID: "F7", Title: "Skip list scalability, 90/5/5 mix", Run: runF7},
-		{ID: "F8", Title: "Priority queues, 50/50 insert-deleteMin", Run: runF8},
-		{ID: "F9", Title: "Work-stealing deque vs. locked deque", Run: runF9},
-		{ID: "F10", Title: "Barrier episode throughput", Run: runF10},
-		{ID: "F11", Title: "STM bank transfers vs. global lock", Run: runF11},
-		{ID: "F12", Title: "Memory reclamation on the lock-free structures: GC vs. EBR vs. HP vs. recycled", Run: runF12, Records: runF12Records},
-		{ID: "T1", Title: "Single-thread throughput overview (Mops/s; ns/op = 1000/Mops)", Run: runT1},
-		{ID: "T2", Title: "Contention sensitivity under Zipf skew (maps, full threads)", Run: runT2},
-		{ID: "T3", Title: "Elimination hit rate (column = hits per 100 visits)", Run: runT3},
+		{ID: "F1", Title: "Spin-lock scalability (tiny critical section)",
+			Scenarios: one(lockScenario("F1: lock throughput, counter critical section", 200000, 0, true, Run))},
+		{ID: "F2", Title: "Shared counter throughput", Scenarios: figure(catalog.Figure, "counter")},
+		{ID: "F3", Title: "Stack algorithms, 50/50 push-pop", Scenarios: figure(catalog.Figure, "stack")},
+		{ID: "F4", Title: "Queue algorithms, 50/50 enq-deq", Scenarios: figure(catalog.Figure, "queue")},
+		{ID: "F5", Title: "List-based set progression, 90% reads", Scenarios: figure(catalog.Figure, "list")},
+		{ID: "F6", Title: "Hash map scalability by read ratio and skew", Scenarios: figure(catalog.Figure, "cmap")},
+		{ID: "F7", Title: "Skip list scalability, 90/5/5 mix", Scenarios: figure(catalog.Figure, "skiplist")},
+		{ID: "F8", Title: "Priority queues, 50/50 insert-deleteMin", Scenarios: figure(catalog.Figure, "pqueue")},
+		{ID: "F9", Title: "Work-stealing deque vs. locked deque", XLabel: "stealers", Scenarios: one(workStealingScenario())},
+		{ID: "F10", Title: "Barrier episode throughput",
+			Scenarios: one(barrierScenario("F10: barrier episodes per second (Mops column = M episodes/s × threads)", 0, Run))},
+		{ID: "F11", Title: "STM bank transfers vs. global lock", Scenarios: func() []Scenario {
+			return []Scenario{
+				stmScenario("F11: bank transfers/s, 64 accounts", 64, 100000, Run),
+				stmScenario("F11: bank transfers/s, 65536 accounts", 1<<16, 100000, Run),
+			}
+		}},
+		{ID: "F12", Title: "Memory reclamation on the lock-free structures: GC vs. EBR vs. HP vs. recycled",
+			Scenarios: figure(catalog.ReclaimFigure, "")},
+		{ID: "T1", Title: "Single-thread throughput overview (Mops/s; ns/op = 1000/Mops)", XLabel: "thread", Scenarios: one(overviewScenario())},
+		{ID: "T2", Title: "Contention sensitivity under Zipf skew (maps, full threads)", XLabel: "theta*100", Scenarios: one(skewScenario())},
+		{ID: "T3", Title: "Elimination hit rate (column = hits per 100 visits)", Scenarios: func() []Scenario {
+			row := catalog.Find("stack", "Elimination")
+			s := eliminationScenario("T3: elimination-backoff stack: hits per 100 elimination visits", nil,
+				func(int) *stack.Elimination[int] {
+					built, _ := row.New(catalog.Options{})
+					return built.(*stack.Elimination[int])
+				})
+			s.Algos = s.Algos[1:] // the hit-rate row alone
+			return []Scenario{s}
+		}},
 	}, ScenarioExperiments()...)
 }
 
@@ -103,42 +123,27 @@ func ScenarioExperiments() []Experiment {
 		exps = append(exps, Experiment{
 			ID:    fmt.Sprintf("S%d", i+1),
 			Title: fmt.Sprintf("Scenario mixes: %s (throughput + p99 latency)", family),
-			Run: func(cfg Config) []Figure {
-				return scenarioFigures(family, runFamilyRecords(cfg, family))
-			},
-			Records: func(cfg Config) []Record {
-				return runFamilyRecords(cfg, family)
+			Scenarios: func() []Scenario {
+				var fam []Scenario
+				for _, s := range Scenarios() {
+					if s.Family == family {
+						fam = append(fam, s)
+					}
+				}
+				return fam
 			},
 		})
 	}
 	return exps
 }
 
-func runFamilyRecords(cfg Config, family string) []Record {
-	var recs []Record
-	for _, s := range Scenarios() {
-		if s.Family == family {
-			recs = append(recs, s.Run(cfg)...)
-		}
-	}
-	return recs
-}
-
 // BuildReport runs the given experiments (as selected by cmd/cdsbench)
-// and assembles their results into a Report. Experiments with a native
-// Records function contribute latency-rich records; the rest contribute
-// their figures flattened one record per point.
+// and assembles their records into a Report.
 func BuildReport(cfg Config, exps []Experiment) Report {
 	rep := Report{Schema: ReportSchema, Meta: NewMeta(cfg.Quick)}
 	rep.Summary = RunSummary(rep.Meta)
 	for _, e := range exps {
-		if e.Records != nil {
-			rep.Records = append(rep.Records, e.Records(cfg)...)
-			continue
-		}
-		for _, fig := range e.Run(cfg) {
-			rep.Records = append(rep.Records, fig.Records()...)
-		}
+		rep.Records = append(rep.Records, e.Records(cfg)...)
 	}
 	return rep
 }
@@ -146,12 +151,7 @@ func BuildReport(cfg Config, exps []Experiment) Report {
 // Find returns the experiment with the given ID, searching the main suite
 // and the ablations.
 func Find(id string) (Experiment, bool) {
-	for _, e := range Experiments() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	for _, e := range Ablations() {
+	for _, e := range append(Experiments(), Ablations()...) {
 		if e.ID == id {
 			return e, true
 		}
@@ -159,525 +159,23 @@ func Find(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// --- F1: locks ------------------------------------------------------------
+// one wraps a single scenario as an Experiment's list.
+func one(s Scenario) func() []Scenario { return func() []Scenario { return []Scenario{s} } }
 
-func runF1(cfg Config) []Figure {
-	ops := cfg.ops(200000)
-	type impl struct {
-		label string
-		mk    func() func() sync.Locker // returns per-worker locker factory
-	}
-	impls := []impl{
-		{label: "sync.Mutex", mk: func() func() sync.Locker {
-			mu := &sync.Mutex{}
-			return func() sync.Locker { return mu }
-		}},
-		{label: "TAS", mk: func() func() sync.Locker {
-			l := &locks.TASLock{}
-			return func() sync.Locker { return l }
-		}},
-		{label: "TTAS", mk: func() func() sync.Locker {
-			l := &locks.TTASLock{}
-			return func() sync.Locker { return l }
-		}},
-		{label: "Backoff", mk: func() func() sync.Locker {
-			l := &locks.BackoffLock{}
-			return func() sync.Locker { return l }
-		}},
-		{label: "Ticket", mk: func() func() sync.Locker {
-			l := &locks.TicketLock{}
-			return func() sync.Locker { return l }
-		}},
-		{label: "MCS", mk: func() func() sync.Locker {
-			l := &locks.MCSLock{}
-			return func() sync.Locker { return l.Locker() }
-		}},
-		{label: "CLH", mk: func() func() sync.Locker {
-			l := &locks.CLHLock{}
-			return func() sync.Locker { return l.Locker() }
-		}},
-	}
-	fig := Figure{ID: "F1", Title: "lock throughput, counter critical section", Family: "locks", XLabel: "threads"}
-	for _, im := range impls {
-		var s Series
-		s.Label = im.label
-		for _, th := range cfg.threads() {
-			factory := im.mk()
-			shared := 0
-			res := Run(th, ops/th+1, func(w int) func(int) {
-				locker := factory()
-				return func(int) {
-					locker.Lock()
-					shared++
-					locker.Unlock()
-				}
-			})
-			s.Points = append(s.Points, Point{X: th, Mops: res.Throughput()})
-			_ = shared
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return []Figure{fig}
-}
-
-// --- F2: counters ----------------------------------------------------------
-
-func runF2(cfg Config) []Figure {
-	ops := cfg.ops(500000)
-	fig := Figure{ID: "F2", Title: "counter increment throughput", Family: "counter", XLabel: "threads"}
-
-	type impl struct {
-		label string
-		mk    func(threads int) func(w int) func(int)
-	}
-	impls := []impl{
-		{label: "Locked", mk: func(int) func(int) func(int) {
-			c := &counter.Locked{}
-			return func(int) func(int) { return func(int) { c.Inc() } }
-		}},
-		{label: "Atomic", mk: func(int) func(int) func(int) {
-			c := &counter.Atomic{}
-			return func(int) func(int) { return func(int) { c.Inc() } }
-		}},
-		{label: "Sharded", mk: func(int) func(int) func(int) {
-			c := counter.NewSharded(0)
-			return func(int) func(int) {
-				h := c.Handle()
-				return func(int) { h.Inc() }
-			}
-		}},
-		{label: "Approx", mk: func(int) func(int) func(int) {
-			c := counter.NewApprox(0, 64)
-			return func(int) func(int) { return func(int) { c.Inc() } }
-		}},
-		{label: "CombiningTree", mk: func(threads int) func(int) func(int) {
-			c := counter.NewCombiningTree(threads)
-			return func(w int) func(int) {
-				h := c.Handle(w)
-				return func(int) { h.Inc() }
-			}
-		}},
-	}
-	for _, im := range impls {
-		var s Series
-		s.Label = im.label
-		for _, th := range cfg.threads() {
-			mk := im.mk(th)
-			res := Run(th, ops/th+1, mk)
-			s.Points = append(s.Points, Point{X: th, Mops: res.Throughput()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return []Figure{fig}
-}
-
-// --- F3: stacks ------------------------------------------------------------
-
-func runF3(cfg Config) []Figure {
-	ops := cfg.ops(300000)
-	fig := Figure{ID: "F3", Title: "stack ops/sec, 50/50 push-pop, prefill 1k", Family: "stack", XLabel: "threads"}
-	impls := map[string]func() cds.Stack[int]{
-		"Mutex":       func() cds.Stack[int] { return stack.NewMutex[int]() },
-		"Treiber":     func() cds.Stack[int] { return stack.NewTreiber[int]() },
-		"Elimination": func() cds.Stack[int] { return stack.NewElimination[int](0, 0) },
-		"FC":          func() cds.Stack[int] { return fc.NewStack[int]() },
-	}
-	for _, label := range []string{"Mutex", "Treiber", "Elimination", "FC"} {
-		mk := impls[label]
-		var s Series
-		s.Label = label
-		for _, th := range cfg.threads() {
-			st := mk()
-			for i := 0; i < 1024; i++ {
-				st.Push(i)
-			}
-			res := Run(th, ops/th+1, func(w int) func(int) {
-				rng := xrand.New(uint64(w) + 1)
-				return func(int) {
-					if rng.Uint64()&1 == 0 {
-						st.Push(7)
-					} else {
-						st.TryPop()
-					}
-				}
-			})
-			s.Points = append(s.Points, Point{X: th, Mops: res.Throughput()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return []Figure{fig}
-}
-
-// --- F4: queues ------------------------------------------------------------
-
-func runF4(cfg Config) []Figure {
-	ops := cfg.ops(300000)
-	fig := Figure{ID: "F4", Title: "queue ops/sec, 50/50 enq-deq, prefill 1k", Family: "queue", XLabel: "threads"}
-
-	type mkops func() func(w int) func(int)
-	impls := []struct {
-		label string
-		mk    mkops
-	}{
-		{label: "Mutex", mk: func() func(int) func(int) {
-			q := queue.NewMutex[int]()
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
-			}
-			return opsQueue(q)
-		}},
-		{label: "TwoLock", mk: func() func(int) func(int) {
-			q := queue.NewTwoLock[int]()
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
-			}
-			return opsQueue(q)
-		}},
-		{label: "MS", mk: func() func(int) func(int) {
-			q := queue.NewMS[int]()
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
-			}
-			return opsQueue(q)
-		}},
-		{label: "ElimMS", mk: func() func(int) func(int) {
-			q := queue.NewElimination[int](0, 0)
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
-			}
-			return opsQueue(q)
-		}},
-		{label: "FC", mk: func() func(int) func(int) {
-			q := fc.NewQueue[int]()
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
-			}
-			return opsQueue(q)
-		}},
-		{label: "FC/CC-Synch", mk: func() func(int) func(int) {
-			q := fc.NewQueue[int](fc.WithBackend(contend.BackendCCSynch))
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
-			}
-			return opsQueue(q)
-		}},
-		{label: "FC/DSM-Synch", mk: func() func(int) func(int) {
-			q := fc.NewQueue[int](fc.WithBackend(contend.BackendDSMSynch))
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
-			}
-			return opsQueue(q)
-		}},
-		{label: "MPMC-64k", mk: func() func(int) func(int) {
-			q := queue.NewMPMC[int](1 << 16)
-			for i := 0; i < 1024; i++ {
-				q.TryEnqueue(i)
-			}
-			return func(w int) func(int) {
-				rng := xrand.New(uint64(w) + 1)
-				return func(int) {
-					if rng.Uint64()&1 == 0 {
-						q.TryEnqueue(7)
-					} else {
-						q.TryDequeue()
-					}
-				}
-			}
-		}},
-	}
-	for _, im := range impls {
-		var s Series
-		s.Label = im.label
-		for _, th := range cfg.threads() {
-			mk := im.mk()
-			res := Run(th, ops/th+1, mk)
-			s.Points = append(s.Points, Point{X: th, Mops: res.Throughput()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return []Figure{fig}
-}
-
-func opsQueue(q cds.Queue[int]) func(w int) func(int) {
-	return func(w int) func(int) {
-		rng := xrand.New(uint64(w) + 1)
-		return func(int) {
-			if rng.Uint64()&1 == 0 {
-				q.Enqueue(7)
-			} else {
-				q.TryDequeue()
-			}
-		}
-	}
-}
-
-// --- F5: list sets ---------------------------------------------------------
-
-func runF5(cfg Config) []Figure {
-	ops := cfg.ops(100000)
-	const keyRange = 1024
-	fig := Figure{ID: "F5", Title: "sorted-list sets, 90% contains / 5% add / 5% remove, keys 0..1023", Family: "list", XLabel: "threads"}
-	impls := []struct {
-		label string
-		mk    func() cds.Set[int]
-	}{
-		{label: "Coarse", mk: func() cds.Set[int] { return list.NewCoarse[int]() }},
-		{label: "Fine", mk: func() cds.Set[int] { return list.NewFine[int]() }},
-		{label: "Optimistic", mk: func() cds.Set[int] { return list.NewOptimistic[int]() }},
-		{label: "Lazy", mk: func() cds.Set[int] { return list.NewLazy[int]() }},
-		{label: "Harris", mk: func() cds.Set[int] { return list.NewHarris[int]() }},
-	}
-	for _, im := range impls {
-		var s Series
-		s.Label = im.label
-		for _, th := range cfg.threads() {
-			set := im.mk()
-			pre := xrand.New(99)
-			for i := 0; i < keyRange/2; i++ {
-				set.Add(pre.Intn(keyRange))
-			}
-			res := Run(th, ops/th+1, setMixOp(set, keyRange, 90))
-			s.Points = append(s.Points, Point{X: th, Mops: res.Throughput()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return []Figure{fig}
-}
-
-// setMixOp builds a readPct% contains / rest split add-remove operation mix.
-func setMixOp(set cds.Set[int], keyRange int, readPct uint64) func(w int) func(int) {
-	return func(w int) func(int) {
-		rng := xrand.New(uint64(w)*2654435761 + 1)
-		return func(int) {
-			k := rng.Intn(keyRange)
-			r := rng.Uint64n(100)
-			switch {
-			case r < readPct:
-				set.Contains(k)
-			case r < readPct+(100-readPct)/2:
-				set.Add(k)
-			default:
-				set.Remove(k)
-			}
-		}
-	}
-}
-
-// --- F6: hash maps ---------------------------------------------------------
-
-// syncMapAdapter wraps sync.Map as a cds.Map for baseline comparison.
-type syncMapAdapter struct{ m sync.Map }
-
-func (a *syncMapAdapter) Load(k int) (int, bool) {
-	v, ok := a.m.Load(k)
-	if !ok {
-		return 0, false
-	}
-	return v.(int), true
-}
-func (a *syncMapAdapter) Store(k, v int) { a.m.Store(k, v) }
-func (a *syncMapAdapter) LoadOrStore(k, v int) (int, bool) {
-	actual, loaded := a.m.LoadOrStore(k, v)
-	return actual.(int), loaded
-}
-func (a *syncMapAdapter) Delete(k int) bool {
-	_, loaded := a.m.LoadAndDelete(k)
-	return loaded
-}
-func (a *syncMapAdapter) Len() int {
-	n := 0
-	a.m.Range(func(any, any) bool { n++; return true })
-	return n
-}
-
-func mapImpls() []struct {
-	label string
-	mk    func() cds.Map[int, int]
-} {
-	return []struct {
-		label string
-		mk    func() cds.Map[int, int]
-	}{
-		{label: "Locked", mk: func() cds.Map[int, int] { return cmap.NewLocked[int, int]() }},
-		{label: "Striped", mk: func() cds.Map[int, int] { return cmap.NewStriped[int, int](64) }},
-		{label: "SplitOrdered", mk: func() cds.Map[int, int] { return cmap.NewSplitOrdered[int, int]() }},
-		{label: "sync.Map", mk: func() cds.Map[int, int] { return &syncMapAdapter{} }},
-	}
-}
-
-func runF6(cfg Config) []Figure {
-	ops := cfg.ops(200000)
-	const keyRange = 1 << 16
-	var figs []Figure
-	for _, dist := range []struct {
-		name  string
-		theta float64
-	}{
-		{name: "uniform", theta: 0},
-		{name: "zipf0.99", theta: 0.99},
-	} {
-		for _, readPct := range []uint64{50, 90, 99} {
-			fig := Figure{
-				ID:     "F6",
-				Family: "cmap",
-				Title:  fmt.Sprintf("hash maps, %d%% reads, %s keys 0..%d", readPct, dist.name, keyRange-1),
-				XLabel: "threads",
-			}
-			for _, im := range mapImpls() {
-				var s Series
-				s.Label = im.label
-				for _, th := range cfg.threads() {
-					m := im.mk()
-					pre := xrand.New(7)
-					for i := 0; i < keyRange/2; i++ {
-						m.Store(pre.Intn(keyRange), i)
-					}
-					res := Run(th, ops/th+1, mapMixOp(m, keyRange, dist.theta, readPct))
-					s.Points = append(s.Points, Point{X: th, Mops: res.Throughput()})
-				}
-				fig.Series = append(fig.Series, s)
-			}
-			figs = append(figs, fig)
-		}
-	}
-	return figs
-}
-
-func mapMixOp(m cds.Map[int, int], keyRange int, theta float64, readPct uint64) func(w int) func(int) {
-	return func(w int) func(int) {
-		keys, err := NewKeyStream(uint64(keyRange), theta, uint64(w)+1)
-		if err != nil {
-			panic(err) // static parameters; cannot fail at runtime
-		}
-		rng := xrand.New(uint64(w)*912367 + 5)
-		return func(int) {
-			k := int(keys.Next())
-			r := rng.Uint64n(100)
-			switch {
-			case r < readPct:
-				m.Load(k)
-			case r < readPct+(100-readPct)/2:
-				m.Store(k, 42)
-			default:
-				m.Delete(k)
-			}
-		}
-	}
-}
-
-// --- F7: skip lists ---------------------------------------------------------
-
-func runF7(cfg Config) []Figure {
-	ops := cfg.ops(200000)
-	const keyRange = 1 << 16
-	fig := Figure{ID: "F7", Title: "skip lists, 90% contains / 5% add / 5% remove, keys 0..65535", Family: "skiplist", XLabel: "threads"}
-	impls := []struct {
-		label string
-		mk    func() cds.Set[int]
-	}{
-		{label: "Lazy", mk: func() cds.Set[int] { return skiplist.NewLazy[int]() }},
-		{label: "LockFree", mk: func() cds.Set[int] { return skiplist.NewLockFree[int]() }},
-	}
-	for _, im := range impls {
-		var s Series
-		s.Label = im.label
-		for _, th := range cfg.threads() {
-			set := im.mk()
-			pre := xrand.New(3)
-			for i := 0; i < keyRange/2; i++ {
-				set.Add(pre.Intn(keyRange))
-			}
-			res := Run(th, ops/th+1, setMixOp(set, keyRange, 90))
-			s.Points = append(s.Points, Point{X: th, Mops: res.Throughput()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return []Figure{fig}
-}
-
-// --- F8: priority queues -----------------------------------------------------
-
-func runF8(cfg Config) []Figure {
-	ops := cfg.ops(100000)
-	fig := Figure{ID: "F8", Title: "priority queues, 50/50 insert-deleteMin, prefill 4k", Family: "pqueue", XLabel: "threads"}
-	impls := []struct {
-		label string
-		mk    func() cds.PriorityQueue[int]
-	}{
-		{label: "LockedHeap", mk: func() cds.PriorityQueue[int] {
-			return pqueue.NewHeap[int](func(a, b int) bool { return a < b })
-		}},
-		{label: "SkipListPQ", mk: func() cds.PriorityQueue[int] { return pqueue.NewSkipList[int]() }},
-		{label: "FCHeap", mk: func() cds.PriorityQueue[int] {
-			return pqueue.NewFC[int](func(a, b int) bool { return a < b })
-		}},
-		{label: "FCHeap/CC-Synch", mk: func() cds.PriorityQueue[int] {
-			return pqueue.NewFC[int](func(a, b int) bool { return a < b },
-				pqueue.WithBackend(contend.BackendCCSynch))
-		}},
-		{label: "FCHeap/DSM-Synch", mk: func() cds.PriorityQueue[int] {
-			return pqueue.NewFC[int](func(a, b int) bool { return a < b },
-				pqueue.WithBackend(contend.BackendDSMSynch))
-		}},
-	}
-	for _, im := range impls {
-		var s Series
-		s.Label = im.label
-		for _, th := range cfg.threads() {
-			pq := im.mk()
-			pre := xrand.New(11)
-			for i := 0; i < 4096; i++ {
-				pq.Insert(pre.Intn(1 << 20))
-			}
-			res := Run(th, ops/th+1, func(w int) func(int) {
-				rng := xrand.New(uint64(w) + 17)
-				return func(int) {
-					if rng.Uint64()&1 == 0 {
-						pq.Insert(rng.Intn(1 << 20))
-					} else {
-						pq.TryDeleteMin()
-					}
-				}
-			})
-			s.Points = append(s.Points, Point{X: th, Mops: res.Throughput()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return []Figure{fig}
-}
+// fullThreads is the sweep of the tables that run at one thread count and
+// vary something else.
+func fullThreads() int { return runtime.GOMAXPROCS(0) }
 
 // --- F9: work stealing -------------------------------------------------------
 
-func runF9(cfg Config) []Figure {
-	ownerOps := cfg.ops(2000000)
-	fig := Figure{
-		ID:     "F9",
-		Family: "deque",
-		Title:  "work-stealing system throughput (M tasks/s, ~300ns tasks) vs. stealers",
-		XLabel: "stealers",
-	}
-	maxStealers := runtime.GOMAXPROCS(0) - 1
-	if maxStealers < 1 {
-		maxStealers = 1
-	}
-	var sweep []int
-	for k := 0; k <= maxStealers; k = next(k) {
-		sweep = append(sweep, k)
-	}
-
-	impls := []struct {
-		label string
-		mk    func() cds.Deque[int]
-	}{
-		{label: "ChaseLev", mk: func() cds.Deque[int] { return deque.NewChaseLev[int](1024) }},
-		{label: "MutexDeque", mk: func() cds.Deque[int] { return deque.NewMutex[int]() }},
-	}
-	// System-throughput methodology: the owner produces tasks in bursts and
-	// executes what it pops locally; thieves execute what they steal. The
-	// metric is completed tasks per second — counting only the owner's ops
-	// would treat every successful steal (the deque's whole purpose) as
-	// lost work. Each task is ~300ns of computation, the fine-grained
-	// regime work stealing targets.
+// workStealingScenario measures the deque rows as a work-stealing system,
+// swept over the number of stealers. The owner produces tasks in bursts and
+// executes what it pops locally; thieves execute what they steal. The
+// metric is completed tasks per second — counting only the owner's ops
+// would treat every successful steal (the deque's whole purpose) as lost
+// work. Each task is ~300ns of computation, the fine-grained regime work
+// stealing targets.
+func workStealingScenario() Scenario {
 	const burst = 32
 	taskWork := func(seed uint64) uint64 {
 		for k := 0; k < 64; k++ {
@@ -685,11 +183,22 @@ func runF9(cfg Config) []Figure {
 		}
 		return seed
 	}
-	for _, im := range impls {
-		var s Series
-		s.Label = im.label
-		for _, thieves := range sweep {
-			d := im.mk()
+	s := Scenario{
+		Family: "deque",
+		Name:   "F9: work-stealing system throughput (M tasks/s, ~300ns tasks) vs. stealers",
+		Xs: func(Config) []int {
+			sweep := []int{0}
+			for k := 1; k <= max(fullThreads()-1, 1); k *= 2 {
+				sweep = append(sweep, k)
+			}
+			return sweep
+		},
+	}
+	for _, r := range catalog.Select("deque", catalog.Figure) {
+		s.Algos = append(s.Algos, ScenarioAlgo{Label: r.Label, Run: func(cfg Config, thieves int) Result {
+			built, _ := r.New(catalog.Options{})
+			d := built.(cds.Deque[int])
+			ownerOps := cfg.ops(2000000)
 			var (
 				wg       sync.WaitGroup
 				stop     atomic.Bool
@@ -735,481 +244,74 @@ func runF9(cfg Config) []Figure {
 			stop.Store(true)
 			wg.Wait()
 			_ = sink
-			mops := float64(consumed.Load()) / elapsed.Seconds() / 1e6
-			s.Points = append(s.Points, Point{X: thieves, Mops: mops})
-		}
-		fig.Series = append(fig.Series, s)
+			return Result{Workers: thieves, Ops: consumed.Load(), Elapsed: elapsed}
+		}})
 	}
-	return []Figure{fig}
-}
-
-func next(k int) int {
-	if k == 0 {
-		return 1
-	}
-	return k * 2
-}
-
-// --- F10: barriers -----------------------------------------------------------
-
-func runF10(cfg Config) []Figure {
-	episodes := cfg.ops(20000)
-	fig := Figure{ID: "F10", Title: "barrier episodes per second (Mops column = M episodes/s × threads)", Family: "barrier", XLabel: "threads"}
-	type mk func(n int) []interface{ Wait() }
-	impls := []struct {
-		label string
-		mk    mk
-	}{
-		{label: "Sense", mk: func(n int) []interface{ Wait() } {
-			b := barrier.NewSense(n)
-			hs := make([]interface{ Wait() }, n)
-			for i := range hs {
-				hs[i] = b.Handle()
-			}
-			return hs
-		}},
-		{label: "Tree", mk: func(n int) []interface{ Wait() } {
-			b := barrier.NewTree(n)
-			hs := make([]interface{ Wait() }, n)
-			for i := range hs {
-				hs[i] = b.Handle()
-			}
-			return hs
-		}},
-		{label: "Dissemination", mk: func(n int) []interface{ Wait() } {
-			b := barrier.NewDissemination(n)
-			hs := make([]interface{ Wait() }, n)
-			for i := range hs {
-				hs[i] = b.Handle()
-			}
-			return hs
-		}},
-	}
-	for _, im := range impls {
-		var s Series
-		s.Label = im.label
-		for _, th := range cfg.threads() {
-			hs := im.mk(th)
-			res := Run(th, episodes, func(w int) func(int) {
-				h := hs[w]
-				return func(int) { h.Wait() }
-			})
-			s.Points = append(s.Points, Point{X: th, Mops: res.Throughput()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return []Figure{fig}
-}
-
-// --- F11: STM ---------------------------------------------------------------
-
-func runF11(cfg Config) []Figure {
-	ops := cfg.ops(100000)
-	var figs []Figure
-	for _, accounts := range []int{64, 1 << 16} {
-		fig := Figure{
-			ID:     "F11",
-			Family: "stm",
-			Title:  fmt.Sprintf("bank transfers/s, %d accounts", accounts),
-			XLabel: "threads",
-		}
-
-		// STM variant.
-		var stmSeries Series
-		stmSeries.Label = "STM"
-		for _, th := range cfg.threads() {
-			vars := make([]*stm.TVar[int], accounts)
-			for i := range vars {
-				vars[i] = stm.NewTVar(1000)
-			}
-			res := Run(th, ops/th+1, func(w int) func(int) {
-				rng := xrand.New(uint64(w) + 23)
-				return func(int) {
-					from, to := rng.Intn(accounts), rng.Intn(accounts)
-					if from == to {
-						to = (to + 1) % accounts
-					}
-					stm.Atomically(func(tx *stm.Txn) {
-						f := vars[from].Read(tx)
-						vars[from].Write(tx, f-1)
-						vars[to].Write(tx, vars[to].Read(tx)+1)
-					})
-				}
-			})
-			stmSeries.Points = append(stmSeries.Points, Point{X: th, Mops: res.Throughput()})
-		}
-		fig.Series = append(fig.Series, stmSeries)
-
-		// Global lock baseline.
-		var lockSeries Series
-		lockSeries.Label = "GlobalLock"
-		for _, th := range cfg.threads() {
-			balances := make([]int, accounts)
-			var mu sync.Mutex
-			res := Run(th, ops/th+1, func(w int) func(int) {
-				rng := xrand.New(uint64(w) + 23)
-				return func(int) {
-					from, to := rng.Intn(accounts), rng.Intn(accounts)
-					if from == to {
-						to = (to + 1) % accounts
-					}
-					mu.Lock()
-					balances[from]--
-					balances[to]++
-					mu.Unlock()
-				}
-			})
-			lockSeries.Points = append(lockSeries.Points, Point{X: th, Mops: res.Throughput()})
-		}
-		fig.Series = append(fig.Series, lockSeries)
-		figs = append(figs, fig)
-	}
-	return figs
-}
-
-// --- F12: reclamation ---------------------------------------------------------
-
-// reclaimVariants is the scheme sweep F12 and the reclaim-structs
-// scenarios measure on every lock-free structure: the zero-cost GC
-// default, real EBR, real HP, and EBR with node recycling ("Recycled").
-// A nil dom means the structure's default GC path.
-type reclaimVariant struct {
-	label   string
-	dom     func() reclaim.Domain
-	recycle bool
-}
-
-func reclaimVariantSweep() []reclaimVariant {
-	return []reclaimVariant{
-		{label: "GC"},
-		{label: "EBR", dom: func() reclaim.Domain { return reclaim.NewEBR() }},
-		{label: "HP", dom: func() reclaim.Domain { return reclaim.NewHP() }},
-		{label: "Recycled", dom: func() reclaim.Domain { return reclaim.NewEBR() }, recycle: true},
-	}
-}
-
-// reclaimGauges snapshots the domain's end-of-run pending-garbage and
-// reclaimed counters (zero for the GC variant, which defers nothing).
-func reclaimGauges(dom reclaim.Domain) map[string]float64 {
-	g := map[string]float64{"pending_garbage": 0, "reclaimed": 0}
-	if dom != nil {
-		g["pending_garbage"] = float64(dom.Pending())
-		g["reclaimed"] = float64(dom.Reclaimed())
-	}
-	return g
-}
-
-// runF12Records measures every lock-free structure under the reclamation
-// variant sweep on a delete-heavy churn mix — the regime where unlink and
-// retire traffic dominates — reporting throughput, latency percentiles,
-// and the pending-garbage gauges.
-func runF12Records(cfg Config) []Record {
-	ops := cfg.ops(100000)
-	var recs []Record
-	for _, v := range reclaimVariantSweep() {
-		for _, th := range cfg.threads() {
-			recs = append(recs, f12Stack(v, th, ops))
-			recs = append(recs, f12Queue(v, th, ops))
-			recs = append(recs, f12List(v, th, ops))
-			recs = append(recs, f12Map(v, th, ops))
-			if !v.recycle { // the skip list has no recycling mode
-				recs = append(recs, f12Skiplist(v, th, ops))
-			}
-		}
-	}
-	return recs
-}
-
-func runF12(cfg Config) []Figure {
-	return scenarioFigures("reclaim", runF12Records(cfg))
-}
-
-func f12Stack(v reclaimVariant, th, ops int) Record {
-	var dom reclaim.Domain
-	var opts []stack.Option
-	if v.dom != nil {
-		dom = v.dom()
-		opts = append(opts, stack.WithReclaim(dom))
-		if v.recycle {
-			opts = append(opts, stack.WithRecycling())
-		}
-	}
-	st := stack.NewTreiber[int](opts...)
-	for i := 0; i < 256; i++ {
-		st.Push(i)
-	}
-	res := RunLatency(th, ops/th+1, func(w int) func(int) {
-		mix := NewMixGen(uint64(w)*7919+1, 50, 50)
-		return func(i int) {
-			if mix.Next() == 0 {
-				st.Push(i)
-			} else {
-				st.TryPop()
-			}
-		}
-	})
-	res.Gauges = reclaimGauges(dom)
-	return res.Record("reclaim", "Treiber/"+v.label, "F12: stack churn 50/50")
-}
-
-func f12Queue(v reclaimVariant, th, ops int) Record {
-	var dom reclaim.Domain
-	var opts []queue.Option
-	if v.dom != nil {
-		dom = v.dom()
-		opts = append(opts, queue.WithReclaim(dom))
-		if v.recycle {
-			opts = append(opts, queue.WithRecycling())
-		}
-	}
-	q := queue.NewMS[int](opts...)
-	for i := 0; i < 256; i++ {
-		q.Enqueue(i)
-	}
-	res := RunLatency(th, ops/th+1, func(w int) func(int) {
-		mix := NewMixGen(uint64(w)*7919+3, 50, 50)
-		return func(i int) {
-			if mix.Next() == 0 {
-				q.Enqueue(i)
-			} else {
-				q.TryDequeue()
-			}
-		}
-	})
-	res.Gauges = reclaimGauges(dom)
-	return res.Record("reclaim", "MS/"+v.label, "F12: queue churn 50/50")
-}
-
-// reclaimListChurn measures one Harris cell on the shared 40/40/20
-// add/remove/contains churn mix; both F12 and the S14 list scenario run
-// exactly this cell (different key ranges and op budgets), so a change to
-// the workload cannot diverge the two reports.
-func reclaimListChurn(v reclaimVariant, th, ops, keyRange int) Result {
-	var dom reclaim.Domain
-	var opts []list.Option
-	if v.dom != nil {
-		dom = v.dom()
-		opts = append(opts, list.WithReclaim(dom))
-		if v.recycle {
-			opts = append(opts, list.WithRecycling())
-		}
-	}
-	s := list.NewHarris[int](opts...)
-	pre := xrand.New(99)
-	for i := 0; i < keyRange/2; i++ {
-		s.Add(pre.Intn(keyRange))
-	}
-	res := RunLatency(th, ops/th+1, func(w int) func(int) {
-		mix := NewMixGen(uint64(w)*31+7, 40, 40, 20)
-		rng := xrand.New(uint64(w)*2654435761 + 1)
-		return func(int) {
-			k := rng.Intn(keyRange)
-			switch mix.Next() {
-			case 0:
-				s.Add(k)
-			case 1:
-				s.Remove(k)
-			default:
-				s.Contains(k)
-			}
-		}
-	})
-	res.Gauges = reclaimGauges(dom)
-	return res
-}
-
-// reclaimMapChurn is the split-ordered counterpart of reclaimListChurn
-// (40/40/20 store/delete/load), likewise shared by F12 and S14.
-func reclaimMapChurn(v reclaimVariant, th, ops, keyRange int) Result {
-	var dom reclaim.Domain
-	var opts []cmap.Option
-	if v.dom != nil {
-		dom = v.dom()
-		opts = append(opts, cmap.WithReclaim(dom))
-		if v.recycle {
-			opts = append(opts, cmap.WithRecycling())
-		}
-	}
-	m := cmap.NewSplitOrdered[int, int](opts...)
-	pre := xrand.New(7)
-	for i := 0; i < keyRange/2; i++ {
-		m.Store(pre.Intn(keyRange), i)
-	}
-	res := RunLatency(th, ops/th+1, func(w int) func(int) {
-		mix := NewMixGen(uint64(w)*912367+5, 40, 40, 20)
-		rng := xrand.New(uint64(w)*104729 + 13)
-		return func(int) {
-			k := rng.Intn(keyRange)
-			switch mix.Next() {
-			case 0:
-				m.Store(k, 42)
-			case 1:
-				m.Delete(k)
-			default:
-				m.Load(k)
-			}
-		}
-	})
-	res.Gauges = reclaimGauges(dom)
-	return res
-}
-
-func f12List(v reclaimVariant, th, ops int) Record {
-	return reclaimListChurn(v, th, ops, 512).
-		Record("reclaim", "Harris/"+v.label, "F12: list delete-heavy 40/40/20")
-}
-
-func f12Map(v reclaimVariant, th, ops int) Record {
-	return reclaimMapChurn(v, th, ops, 1<<12).
-		Record("reclaim", "SplitOrdered/"+v.label, "F12: map delete-heavy 40/40/20")
-}
-
-func f12Skiplist(v reclaimVariant, th, ops int) Record {
-	const keyRange = 1 << 12
-	var dom reclaim.Domain
-	var opts []skiplist.Option
-	if v.dom != nil {
-		dom = v.dom()
-		opts = append(opts, skiplist.WithReclaim(dom))
-	}
-	s := skiplist.NewLockFree[int](opts...)
-	pre := xrand.New(3)
-	for i := 0; i < keyRange/2; i++ {
-		s.Add(pre.Intn(keyRange))
-	}
-	res := RunLatency(th, ops/th+1, func(w int) func(int) {
-		mix := NewMixGen(uint64(w)*13+17, 40, 40, 20)
-		rng := xrand.New(uint64(w) + 17)
-		return func(int) {
-			k := rng.Intn(keyRange)
-			switch mix.Next() {
-			case 0:
-				s.Add(k)
-			case 1:
-				s.Remove(k)
-			default:
-				s.Contains(k)
-			}
-		}
-	})
-	res.Gauges = reclaimGauges(dom)
-	return res.Record("reclaim", "LockFree/"+v.label, "F12: skiplist delete-heavy 40/40/20")
+	return s
 }
 
 // --- T1: single-thread overview ------------------------------------------------
 
-func runT1(cfg Config) []Figure {
-	ops := cfg.ops(1000000)
-	fig := Figure{ID: "T1", Title: "single-thread throughput (Mops/s)", Family: "overview", XLabel: "thread"}
-	// Each row is a different structure family, so the series carry their
-	// own family labels into the Report.
-	families := map[string]string{"stack": "stack", "queue": "queue", "cmap": "cmap", "skip": "skiplist"}
-	add := func(label string, op func(i int)) {
-		res := Run(1, ops, func(int) func(int) { return op })
-		fam := families[strings.SplitN(label, ".", 2)[0]]
-		fig.Series = append(fig.Series, Series{Label: label, Family: fam, Points: []Point{{X: 1, Mops: res.Throughput()}}})
+// overviewScenario prices one insert-then-read (or insert-then-remove) pair
+// per family's headline variants on a single thread. Kinds index the
+// shape's operations: 0 inserts, 1 removes, 2 reads.
+func overviewScenario() Scenario {
+	pair := func(label, family, variant string, second, mask int) ScenarioAlgo {
+		r := catalog.Find(family, variant)
+		return ScenarioAlgo{Label: label, Family: family, Run: func(cfg Config, _ int) Result {
+			s, _ := r.New(catalog.Options{})
+			apply := r.Worker(s, 0)
+			return Run(1, cfg.ops(1000000), func(int) func(int) {
+				return func(i int) {
+					apply(0, i&mask)
+					apply(second, i&mask)
+				}
+			})
+		}}
 	}
-
-	ms := stack.NewMutex[int]()
-	add("stack.Mutex", func(i int) {
-		ms.Push(i)
-		ms.TryPop()
-	})
-	ts := stack.NewTreiber[int]()
-	add("stack.Treiber", func(i int) {
-		ts.Push(i)
-		ts.TryPop()
-	})
-	mq := queue.NewMutex[int]()
-	add("queue.Mutex", func(i int) {
-		mq.Enqueue(i)
-		mq.TryDequeue()
-	})
-	msq := queue.NewMS[int]()
-	add("queue.MS", func(i int) {
-		msq.Enqueue(i)
-		msq.TryDequeue()
-	})
-	ring := queue.NewSPSC[int](1024)
-	add("queue.SPSC", func(i int) {
-		ring.TryEnqueue(i)
-		ring.TryDequeue()
-	})
-	lm := cmap.NewLocked[int, int]()
-	add("cmap.Locked", func(i int) { lm.Store(i&1023, i); lm.Load(i & 1023) })
-	sm := cmap.NewStriped[int, int](64)
-	add("cmap.Striped", func(i int) { sm.Store(i&1023, i); sm.Load(i & 1023) })
-	som := cmap.NewSplitOrdered[int, int]()
-	add("cmap.SplitOrd", func(i int) { som.Store(i&1023, i); som.Load(i & 1023) })
-	lsl := skiplist.NewLazy[int]()
-	add("skip.Lazy", func(i int) { lsl.Add(i & 4095); lsl.Contains(i & 4095) })
-	fsl := skiplist.NewLockFree[int]()
-	add("skip.LockFree", func(i int) { fsl.Add(i & 4095); fsl.Contains(i & 4095) })
-	return []Figure{fig}
+	return Scenario{
+		Name: "T1: single-thread throughput (Mops/s)",
+		Xs:   func(Config) []int { return []int{1} },
+		Algos: []ScenarioAlgo{
+			pair("stack.Mutex", "stack", "Mutex", 1, -1),
+			pair("stack.Treiber", "stack", "Treiber", 1, -1),
+			pair("queue.Mutex", "queue", "Mutex", 1, -1),
+			pair("queue.MS", "queue", "MS", 1, -1),
+			// The SPSC ring is role-restricted (one producer, one consumer),
+			// so the catalogue excludes it; one thread may play both roles.
+			{Label: "queue.SPSC", Family: "queue", Run: func(cfg Config, _ int) Result {
+				ring := queue.NewSPSC[int](1024)
+				return Run(1, cfg.ops(1000000), func(int) func(int) {
+					return func(i int) {
+						ring.TryEnqueue(i)
+						ring.TryDequeue()
+					}
+				})
+			}},
+			pair("cmap.Locked", "cmap", "Locked", 2, 1023),
+			pair("cmap.Striped", "cmap", "Striped", 2, 1023),
+			pair("cmap.SplitOrd", "cmap", "SplitOrdered", 2, 1023),
+			pair("skip.Lazy", "skiplist", "Lazy", 2, 4095),
+			pair("skip.LockFree", "skiplist", "LockFree", 2, 4095),
+		},
+	}
 }
 
 // --- T2: skew sensitivity --------------------------------------------------------
 
-func runT2(cfg Config) []Figure {
-	ops := cfg.ops(200000)
-	th := runtime.GOMAXPROCS(0)
-	const keyRange = 1 << 16
-	fig := Figure{
-		ID:     "T2",
+// skewScenario re-runs the 50%-read hash-map figure at full threads while
+// sweeping the Zipf skew of the key stream (X = θ×100).
+func skewScenario() Scenario {
+	s := Scenario{
 		Family: "cmap",
-		Title:  fmt.Sprintf("map throughput at %d threads vs. Zipf skew (X = θ×100), 50%% reads", th),
-		XLabel: "theta*100",
+		Name:   fmt.Sprintf("T2: map throughput at %d threads vs. Zipf skew (X = θ×100), 50%% reads", fullThreads()),
+		Xs:     func(Config) []int { return []int{0, 50, 90, 110} },
 	}
-	for _, im := range mapImpls() {
-		var s Series
-		s.Label = im.label
-		for _, theta := range []float64{0, 0.5, 0.9, 1.1} {
-			m := im.mk()
-			pre := xrand.New(7)
-			for i := 0; i < keyRange/2; i++ {
-				m.Store(pre.Intn(keyRange), i)
-			}
-			res := Run(th, ops/th+1, mapMixOp(m, keyRange, theta, 50))
-			s.Points = append(s.Points, Point{X: int(theta * 100), Mops: res.Throughput()})
-		}
-		fig.Series = append(fig.Series, s)
+	for _, r := range catalog.Select("cmap", catalog.Figure) {
+		s.Algos = append(s.Algos, ScenarioAlgo{Label: r.Label, Run: func(cfg Config, theta100 int) Result {
+			wl := catalog.MapReads(50, float64(theta100)/100, s.Name)
+			return runWorkload(cfg, r, catalog.Options{}, wl, fullThreads(), Run)
+		}})
 	}
-	return []Figure{fig}
-}
-
-// --- T3: elimination hit rate ------------------------------------------------------
-
-func runT3(cfg Config) []Figure {
-	ops := cfg.ops(200000)
-	fig := Figure{
-		ID:     "T3",
-		Family: "stack",
-		Title:  "elimination-backoff stack: hits per 100 elimination visits",
-		XLabel: "threads",
-	}
-	var s Series
-	s.Label = "hit-rate%"
-	s.Unit = UnitPercent
-	for _, th := range cfg.threads() {
-		st := stack.NewElimination[int](0, 0)
-		st.EnableStats(true)
-		Run(th, ops/th+1, func(w int) func(int) {
-			rng := xrand.New(uint64(w) + 41)
-			return func(int) {
-				if rng.Uint64()&1 == 0 {
-					st.Push(1)
-				} else {
-					st.TryPop()
-				}
-			}
-		})
-		hits, misses := st.Stats()
-		rate := 0.0
-		if hits+misses > 0 {
-			rate = 100 * float64(hits) / float64(hits+misses)
-		}
-		s.Points = append(s.Points, Point{X: th, Mops: rate})
-	}
-	fig.Series = append(fig.Series, s)
-	return []Figure{fig}
+	return s
 }

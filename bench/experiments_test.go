@@ -137,44 +137,3 @@ func TestDefaultThreadSweep(t *testing.T) {
 		t.Fatalf("sweep(1) = %v", got)
 	}
 }
-
-// TestF12PerStructureVariants: F12 must report every lock-free structure
-// under the GC/EBR/HP/Recycled sweep with live gauges — the per-structure
-// replacement for the old synthetic single-pointer microbench.
-func TestF12PerStructureVariants(t *testing.T) {
-	recs := runF12Records(Config{Quick: true, Threads: []int{1}, Ops: 1500})
-	want := map[string]bool{}
-	for _, structure := range []string{"Treiber", "MS", "Harris", "SplitOrdered"} {
-		for _, v := range []string{"GC", "EBR", "HP", "Recycled"} {
-			want[structure+"/"+v] = false
-		}
-	}
-	for _, v := range []string{"GC", "EBR", "HP"} {
-		want["LockFree/"+v] = false
-	}
-	for _, r := range recs {
-		if r.Family != "reclaim" {
-			t.Errorf("F12 record in family %q", r.Family)
-		}
-		if _, ok := want[r.Algo]; !ok {
-			t.Errorf("unexpected F12 algo %q", r.Algo)
-			continue
-		}
-		want[r.Algo] = true
-		if r.Gauges == nil {
-			t.Errorf("F12 %s missing gauges", r.Algo)
-			continue
-		}
-		if _, ok := r.Gauges["pending_garbage"]; !ok {
-			t.Errorf("F12 %s missing pending_garbage gauge", r.Algo)
-		}
-		if _, ok := r.Gauges["reclaimed"]; !ok {
-			t.Errorf("F12 %s missing reclaimed gauge", r.Algo)
-		}
-	}
-	for algo, seen := range want {
-		if !seen {
-			t.Errorf("F12 never measured %s", algo)
-		}
-	}
-}

@@ -143,42 +143,23 @@ func TestResultRecordConversion(t *testing.T) {
 	}
 }
 
-func TestFigureRecords(t *testing.T) {
-	fig := Figure{
-		ID:     "F4",
-		Title:  "queue ops/sec",
-		Family: "queue",
-		XLabel: "threads",
-		Series: []Series{
-			{Label: "MS", Points: []Point{{X: 1, Mops: 5}, {X: 2, Mops: 8}}},
-			{Label: "hit", Unit: UnitPercent, Points: []Point{{X: 1, Mops: 50}}},
-		},
-	}
-	recs := fig.Records()
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
-	}
-	if recs[0].Family != "queue" || recs[0].Algo != "MS" || recs[0].Unit != UnitMops || recs[0].Value != 5 {
-		t.Fatalf("record 0 wrong: %+v", recs[0])
-	}
-	if recs[2].Unit != UnitPercent {
-		t.Fatalf("unit not propagated: %+v", recs[2])
-	}
-}
-
-// TestBuildReport exercises the assembly path with one synthetic records
-// experiment and one synthetic figure experiment.
+// TestBuildReport exercises the assembly path with synthetic experiments:
+// a latency-sampled scenario, and a percent row under a custom sweep.
 func TestBuildReport(t *testing.T) {
+	h := NewHistogram()
+	h.Record(10)
 	exps := []Experiment{
-		{ID: "X1", Title: "records-native", Records: func(Config) []Record {
-			return []Record{{Family: "queue", Algo: "MS", Scenario: "m", Threads: 1, Unit: UnitMops, P50Ns: 10}}
+		{ID: "X1", Title: "sampled", Scenarios: func() []Scenario {
+			return []Scenario{{Family: "queue", Name: "m", Algos: []ScenarioAlgo{{Label: "MS", Run: func(_ Config, th int) Result {
+				return Result{Workers: th, Ops: 1, Elapsed: time.Microsecond, Latency: h}
+			}}}}}
 		}},
-		{ID: "X2", Title: "figure-derived", Run: func(Config) []Figure {
-			return []Figure{{ID: "X2", Title: "t", Family: "stack", XLabel: "threads",
-				Series: []Series{{Label: "A", Points: []Point{{X: 1, Mops: 1}}}}}}
+		{ID: "X2", Title: "percent", Scenarios: func() []Scenario {
+			return []Scenario{{Family: "stack", Name: "X2: t", Xs: func(Config) []int { return []int{7} },
+				Algos: []ScenarioAlgo{{Label: "A", Percent: true, Run: func(Config, int) Result { return Result{Percent: 37.5} }}}}}
 		}},
 	}
-	rep := BuildReport(Config{Quick: true}, exps)
+	rep := BuildReport(Config{Quick: true, Threads: []int{1}}, exps)
 	if rep.Schema != ReportSchema {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
@@ -188,7 +169,14 @@ func TestBuildReport(t *testing.T) {
 	if len(rep.Records) != 2 {
 		t.Fatalf("got %d records, want 2", len(rep.Records))
 	}
-	if rep.Records[0].P50Ns != 10 || rep.Records[1].Family != "stack" {
-		t.Fatalf("records wrong: %+v", rep.Records)
+	if r := rep.Records[0]; r.P50Ns != 10 || r.Threads != 1 || r.Unit != UnitMops {
+		t.Fatalf("sampled record wrong: %+v", r)
+	}
+	if r := rep.Records[1]; r.Family != "stack" || r.Threads != 7 || r.Value != 37.5 || r.Unit != UnitPercent {
+		t.Fatalf("percent record wrong: %+v", r)
+	}
+	figs := exps[1].Run(Config{})
+	if len(figs) != 1 || figs[0].Title != "t" || figs[0].Series[0].Points[0] != (Point{X: 7, Mops: 37.5}) {
+		t.Fatalf("figures wrong: %+v", figs)
 	}
 }

@@ -4,27 +4,20 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	cds "github.com/cds-suite/cds"
 	"github.com/cds-suite/cds/barrier"
+	"github.com/cds-suite/cds/catalog"
 	"github.com/cds-suite/cds/contend"
-	"github.com/cds-suite/cds/counter"
-	"github.com/cds-suite/cds/deque"
 	"github.com/cds-suite/cds/dual"
-	"github.com/cds-suite/cds/fc"
 	"github.com/cds-suite/cds/internal/epoch"
 	"github.com/cds-suite/cds/internal/hazard"
 	"github.com/cds-suite/cds/internal/xrand"
-	"github.com/cds-suite/cds/list"
 	"github.com/cds-suite/cds/locks"
-	"github.com/cds-suite/cds/pqueue"
-	"github.com/cds-suite/cds/queue"
-	"github.com/cds-suite/cds/reclaim"
-	"github.com/cds-suite/cds/skiplist"
-	"github.com/cds-suite/cds/stack"
 	"github.com/cds-suite/cds/stm"
 )
 
@@ -99,52 +92,92 @@ func (g *MixGen) Next() int {
 type ScenarioAlgo struct {
 	// Label names the implementation.
 	Label string
-	// Run measures one cell: construct a fresh structure, prefill it,
-	// and drive the scenario's mix at the given thread count with
-	// latency sampling.
-	Run func(cfg Config, threads int) Result
+	// Family overrides the scenario's family for this row's records;
+	// cross-family tables (the T1 overview) use it.
+	Family string
+	// Percent marks a row whose headline is Result.Percent (unit
+	// "percent"), not throughput.
+	Percent bool
+	// Run measures one cell: construct a fresh structure, prefill it, and
+	// drive the scenario's workload at sweep point x — the thread count
+	// unless the scenario declares its own sweep.
+	Run func(cfg Config, x int) Result
 }
 
-// Scenario is one workload mix applied to every algorithm of a family.
+// Scenario is one workload applied to every algorithm of a family, swept
+// over thread counts (or over Xs). Every experiment — figure, table,
+// ablation or scenario mix — is a list of these, so a run's record keys are
+// known before anything is measured (Plan).
 type Scenario struct {
 	// Family is the structure family ("stack", "queue", ...).
 	Family string
-	// Name describes the mix (e.g. "enq-heavy-70/30-uniform").
+	// Name describes the workload (e.g. "enq-heavy-70/30"); it is the
+	// records' scenario string.
 	Name string
-	// Algos are the implementations measured under this mix.
+	// Xs is the sweep, when it is not the configured thread counts.
+	Xs func(cfg Config) []int
+	// Algos are the implementations measured under this workload.
 	Algos []ScenarioAlgo
 }
 
-// Run measures the scenario across the configured thread sweep, returning
-// one record per (algorithm, thread count).
-func (s Scenario) Run(cfg Config) []Record {
+// Sweep returns the X values the scenario measures each algorithm at.
+func (s Scenario) Sweep(cfg Config) []int {
+	if s.Xs != nil {
+		return s.Xs(cfg)
+	}
+	return cfg.threads()
+}
+
+// Plan returns the label-only records — family, scenario, algo, threads,
+// unit — of every cell Run would measure, without measuring anything.
+func (s Scenario) Plan(cfg Config) []Record {
 	var recs []Record
 	for _, a := range s.Algos {
-		for _, th := range cfg.threads() {
-			recs = append(recs, a.Run(cfg, th).Record(s.Family, a.Label, s.Name))
+		for _, x := range s.Sweep(cfg) {
+			rec := Record{Family: s.Family, Algo: a.Label, Scenario: s.Name, Threads: x, Unit: UnitMops}
+			if a.Family != "" {
+				rec.Family = a.Family
+			}
+			if a.Percent {
+				rec.Unit = UnitPercent
+			}
+			recs = append(recs, rec)
 		}
 	}
 	return recs
 }
 
+// Run measures the scenario, returning one record per planned cell.
+func (s Scenario) Run(cfg Config) []Record {
+	recs, xs := s.Plan(cfg), s.Sweep(cfg)
+	for i, key := range recs {
+		a := s.Algos[i/len(xs)]
+		res := a.Run(cfg, key.Threads)
+		if a.Percent {
+			recs[i].Value = res.Percent
+			continue
+		}
+		recs[i] = res.Record(key.Family, key.Algo, key.Scenario)
+		recs[i].Threads = key.Threads
+	}
+	return recs
+}
+
 // Scenarios returns the full mixed-workload matrix: at least two scenario
-// cells per structure family beyond the throughput-vs-threads figures.
+// cells per structure family beyond the throughput-vs-threads figures. The
+// S-experiment numbering follows the order families first appear in.
 func Scenarios() []Scenario {
-	var all []Scenario
-	all = append(all, stackScenarios()...)
-	all = append(all, queueScenarios()...)
-	all = append(all, mapScenarios()...)
-	all = append(all, listScenarios()...)
-	all = append(all, skiplistScenarios()...)
-	all = append(all, pqueueScenarios()...)
-	all = append(all, dequeScenarios()...)
-	all = append(all, counterScenarios()...)
-	all = append(all, stmScenarios()...)
-	all = append(all, lockScenarios()...)
-	all = append(all, barrierScenarios()...)
+	all := derived(catalog.Scenario, "")
+	all = append(all, stmScenario("transfer-64-accounts", 64, 60000, RunLatency),
+		stmScenario("transfer-8k-accounts", 1<<13, 60000, RunLatency),
+		lockScenario("tiny-critical-section", 100000, 0, false, RunLatency),
+		lockScenario("long-critical-section-~250ns", 100000, 64, false, RunLatency),
+		barrierScenario("back-to-back-episodes", 0, RunLatency),
+		barrierScenario("staggered-arrival", 64, RunLatency))
 	all = append(all, reclaimScenarios()...)
-	all = append(all, contendScenarios()...)
-	all = append(all, reclaimStructScenarios()...)
+	all = append(all, derived(catalog.Contend, "")...)
+	all = append(all, derived(catalog.ReclaimScenario, "")...)
+	all = append(all, stalledReaderScenario())
 	all = append(all, dualScenarios()...)
 	all = append(all, poolScenarios()...)
 	all = append(all, cacheScenarios()...)
@@ -165,240 +198,142 @@ func ScenarioFamilies() []string {
 	return fams
 }
 
-// RunScenarioRecords measures the whole matrix.
-func RunScenarioRecords(cfg Config) []Record {
-	var recs []Record
-	for _, s := range Scenarios() {
-		recs = append(recs, s.Run(cfg)...)
-	}
-	return recs
-}
-
-// scenarioFigures renders a family's records as text-mode figures: one
-// throughput figure and one p99-latency figure per scenario.
-func scenarioFigures(family string, recs []Record) []Figure {
-	var order []string
-	byScenario := map[string][]Record{}
-	for _, r := range recs {
-		if _, ok := byScenario[r.Scenario]; !ok {
-			order = append(order, r.Scenario)
-		}
-		byScenario[r.Scenario] = append(byScenario[r.Scenario], r)
+// figures renders an experiment's records as text-mode figures: per
+// scenario one headline-value table and, where the cells sampled latency,
+// one p99 table.
+func figures(e Experiment, recs []Record) []Figure {
+	xlabel := e.XLabel
+	if xlabel == "" {
+		xlabel = "threads"
 	}
 	var figs []Figure
-	for _, name := range order {
-		group := byScenario[name]
-		thr := Figure{
-			ID:     "S-" + family,
-			Title:  fmt.Sprintf("%s scenario %q, throughput (Mops/s)", family, name),
-			Family: family,
-			XLabel: "threads",
-		}
-		lat := Figure{
-			ID:     "S-" + family,
-			Title:  fmt.Sprintf("%s scenario %q, p99 latency (column = µs)", family, name),
-			Family: family,
-			XLabel: "threads",
-		}
-		var algos []string
-		seen := map[string]bool{}
-		for _, r := range group {
-			if !seen[r.Algo] {
-				seen[r.Algo] = true
-				algos = append(algos, r.Algo)
+	index := map[string]int{} // scenario -> position of its headline figure
+	for _, r := range recs {
+		i, ok := index[r.Scenario]
+		if !ok {
+			i = len(figs)
+			index[r.Scenario] = i
+			title := strings.TrimPrefix(r.Scenario, e.ID+": ")
+			figs = append(figs, Figure{ID: e.ID, Title: title, XLabel: xlabel})
+			if r.Samples > 0 {
+				figs[i].Title = title + ", throughput (Mops/s)"
+				figs = append(figs, Figure{ID: e.ID, Title: title + ", p99 latency (column = µs)", XLabel: xlabel})
 			}
 		}
-		for _, algo := range algos {
-			ts := Series{Label: algo}
-			ls := Series{Label: algo, Unit: "us"}
-			for _, r := range group {
-				if r.Algo != algo {
-					continue
-				}
-				ts.Points = append(ts.Points, Point{X: r.Threads, Mops: r.Value})
-				ls.Points = append(ls.Points, Point{X: r.Threads, Mops: float64(r.P99Ns) / 1e3})
-			}
-			thr.Series = append(thr.Series, ts)
-			lat.Series = append(lat.Series, ls)
+		figs[i].addPoint(r.Algo, r.Threads, r.Value)
+		if r.Samples > 0 {
+			figs[i+1].addPoint(r.Algo, r.Threads, float64(r.P99Ns)/1e3)
 		}
-		figs = append(figs, thr, lat)
 	}
 	return figs
 }
 
-// --- family matrices --------------------------------------------------------
-
-func stackScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Stack[int]
-	}{
-		{"Mutex", func() cds.Stack[int] { return stack.NewMutex[int]() }},
-		{"Treiber", func() cds.Stack[int] { return stack.NewTreiber[int]() }},
-		{"Elimination", func() cds.Stack[int] { return stack.NewElimination[int](0, 0) }},
-		{"FC", func() cds.Stack[int] { return fc.NewStack[int]() }},
-	}
-	mkScenario := func(name string, pushPct int) Scenario {
-		s := Scenario{Family: "stack", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				st := mk()
-				for i := 0; i < 1024; i++ {
-					st.Push(i)
-				}
-				ops := cfg.ops(200000)
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					mix := NewMixGen(uint64(w)*7919+1, pushPct, 100-pushPct)
-					return func(i int) {
-						if mix.Next() == 0 {
-							st.Push(i)
-						} else {
-							st.TryPop()
-						}
-					}
-				})
-			}})
+func (f *Figure) addPoint(label string, x int, v float64) {
+	for i := range f.Series {
+		if f.Series[i].Label == label {
+			f.Series[i].Points = append(f.Series[i].Points, Point{X: x, Mops: v})
+			return
 		}
-		return s
 	}
-	return []Scenario{
-		mkScenario("push-heavy-70/30", 70),
-		mkScenario("pop-heavy-30/70", 30),
-	}
+	f.Series = append(f.Series, Series{Label: label, Points: []Point{{X: x, Mops: v}}})
 }
 
-func queueScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Queue[int]
-	}{
-		{"Mutex", func() cds.Queue[int] { return queue.NewMutex[int]() }},
-		{"TwoLock", func() cds.Queue[int] { return queue.NewTwoLock[int]() }},
-		{"MS", func() cds.Queue[int] { return queue.NewMS[int]() }},
-		{"ElimMS", func() cds.Queue[int] { return queue.NewElimination[int](0, 0) }},
-		{"FC", func() cds.Queue[int] { return fc.NewQueue[int]() }},
-	}
-	mixed := Scenario{Family: "queue", Name: "enq-heavy-70/30"}
-	split := Scenario{Family: "queue", Name: "producer-consumer-split"}
-	for _, im := range impls {
-		mk := im.mk
-		mixed.Algos = append(mixed.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			q := mk()
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
-			}
-			ops := cfg.ops(200000)
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				mix := NewMixGen(uint64(w)*7919+1, 70, 30)
-				return func(i int) {
-					if mix.Next() == 0 {
-						q.Enqueue(i)
-					} else {
-						q.TryDequeue()
-					}
-				}
-			})
-		}})
-		split.Algos = append(split.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			q := mk()
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
-			}
-			ops := cfg.ops(200000)
-			// Even workers produce, odd workers consume — the asymmetric
-			// regime where head and tail contention decouple (and where
-			// the two-lock queue earns its second lock).
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				if w%2 == 0 {
-					return func(i int) { q.Enqueue(i) }
-				}
-				return func(int) { q.TryDequeue() }
-			})
-		}})
-	}
-	// The segmented/bounded designs ride along with structure gauges
-	// attached (segment-lifecycle counters for the LCRQ, CAS-miss/backoff
-	// counters for the MPMC ring); see bench/segqueue.go.
-	m2, s2 := segQueueS2Algos()
-	mixed.Algos = append(mixed.Algos, m2...)
-	split.Algos = append(split.Algos, s2...)
-	return []Scenario{mixed, split}
-}
+// runner is Run or RunLatency: the figures time whole runs, the scenario
+// mixes sample every operation.
+type runner func(workers, opsPerWorker int, mkOp func(w int) func(i int)) Result
 
-func mapScenarios() []Scenario {
-	const keyRange = 1 << 16
-	mkScenario := func(name string, readPct int, theta float64) Scenario {
-		s := Scenario{Family: "cmap", Name: name}
-		for _, im := range mapImpls() {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				m := mk()
-				pre := xrand.New(7)
-				for i := 0; i < keyRange/2; i++ {
-					m.Store(pre.Intn(keyRange), i)
-				}
-				ops := cfg.ops(100000)
-				write := (100 - readPct) / 2
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					keys, err := NewKeyStream(keyRange, theta, uint64(w)+1)
-					if err != nil {
-						panic(err) // static parameters; cannot fail at runtime
-					}
-					mix := NewMixGen(uint64(w)*912367+5, readPct, write, 100-readPct-write)
-					return func(int) {
-						k := int(keys.Next())
-						switch mix.Next() {
-						case 0:
-							m.Load(k)
-						case 1:
-							m.Store(k, 42)
-						default:
-							m.Delete(k)
-						}
-					}
-				})
-			}})
+// --- bespoke families -------------------------------------------------------
+
+// stmScenario is the bank-transfer workload of F11 and S9: STM transactions
+// against one global lock, over the given number of accounts.
+func stmScenario(name string, accounts, ops int, run runner) Scenario {
+	transfer := func(w int, move func(from, to int)) func(int) {
+		rng := xrand.New(uint64(w) + 23)
+		return func(int) {
+			from, to := rng.Intn(accounts), rng.Intn(accounts)
+			if from == to {
+				to = (to + 1) % accounts
+			}
+			move(from, to)
 		}
-		return s
 	}
-	return []Scenario{
-		mkScenario("read90/10-uniform", 90, 0),
-		mkScenario("read50/50-zipf0.99", 50, 0.99),
+	return Scenario{Family: "stm", Name: name, Algos: []ScenarioAlgo{
+		{Label: "STM", Run: func(cfg Config, th int) Result {
+			vars := make([]*stm.TVar[int], accounts)
+			for i := range vars {
+				vars[i] = stm.NewTVar(1000)
+			}
+			return run(th, cfg.ops(ops)/th+1, func(w int) func(int) {
+				return transfer(w, func(from, to int) {
+					stm.Atomically(func(tx *stm.Txn) {
+						f := vars[from].Read(tx)
+						vars[from].Write(tx, f-1)
+						vars[to].Write(tx, vars[to].Read(tx)+1)
+					})
+				})
+			})
+		}},
+		{Label: "GlobalLock", Run: func(cfg Config, th int) Result {
+			balances := make([]int, accounts)
+			var mu sync.Mutex
+			return run(th, cfg.ops(ops)/th+1, func(w int) func(int) {
+				return transfer(w, func(from, to int) {
+					mu.Lock()
+					balances[from]--
+					balances[to]++
+					mu.Unlock()
+				})
+			})
+		}},
+	}}
+}
+
+// lockImpls are the spin locks of F1; scenario marks the three the S10
+// mixes keep. mk returns a per-worker locker factory over one fresh lock
+// (the queue locks hand each worker its own handle).
+var lockImpls = []struct {
+	label    string
+	scenario bool
+	mk       func() func() sync.Locker
+}{
+	{"sync.Mutex", true, sharedLocker(func() sync.Locker { return &sync.Mutex{} })},
+	{"TAS", false, sharedLocker(func() sync.Locker { return &locks.TASLock{} })},
+	{"TTAS", false, sharedLocker(func() sync.Locker { return &locks.TTASLock{} })},
+	{"Backoff", true, sharedLocker(func() sync.Locker { return &locks.BackoffLock{} })},
+	{"Ticket", true, sharedLocker(func() sync.Locker { return &locks.TicketLock{} })},
+	{"MCS", false, func() func() sync.Locker { return new(locks.MCSLock).Locker }},
+	{"CLH", false, func() func() sync.Locker { return new(locks.CLHLock).Locker }},
+}
+
+func sharedLocker(mk func() sync.Locker) func() func() sync.Locker {
+	return func() func() sync.Locker {
+		l := mk()
+		return func() sync.Locker { return l }
 	}
 }
 
-func setScenario(family, name string, readPct, keyRange int, theta float64, impls []struct {
-	label string
-	mk    func() cds.Set[int]
-}) Scenario {
-	s := Scenario{Family: family, Name: name}
-	for _, im := range impls {
-		mk := im.mk
+// lockScenario measures lock+increment+unlock under full contention. csWork
+// controls the critical-section length: 0 is the tiny increment-only
+// section of F1, larger values emulate real protected work (~4ns per
+// SplitMix64 round).
+func lockScenario(name string, ops, csWork int, all bool, run runner) Scenario {
+	s := Scenario{Family: "locks", Name: name}
+	for _, im := range lockImpls {
+		if !all && !im.scenario {
+			continue
+		}
 		s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			set := mk()
-			pre := xrand.New(99)
-			for i := 0; i < keyRange/2; i++ {
-				set.Add(pre.Intn(keyRange))
-			}
-			ops := cfg.ops(60000)
-			write := (100 - readPct) / 2
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				keys, err := NewKeyStream(uint64(keyRange), theta, uint64(w)*2654435761+1)
-				if err != nil {
-					panic(err) // static parameters; cannot fail at runtime
-				}
-				mix := NewMixGen(uint64(w)*31+7, readPct, write, 100-readPct-write)
+			factory := im.mk()
+			shared := uint64(0)
+			return run(th, cfg.ops(ops)/th+1, func(int) func(int) {
+				l := factory()
 				return func(int) {
-					k := int(keys.Next())
-					switch mix.Next() {
-					case 0:
-						set.Contains(k)
-					case 1:
-						set.Add(k)
-					default:
-						set.Remove(k)
+					l.Lock()
+					shared++
+					for k := 0; k < csWork; k++ {
+						xrand.SplitMix64(&shared)
 					}
+					l.Unlock()
 				}
 			})
 		}})
@@ -406,270 +341,49 @@ func setScenario(family, name string, readPct, keyRange int, theta float64, impl
 	return s
 }
 
-func listScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Set[int]
-	}{
-		{"Coarse", func() cds.Set[int] { return list.NewCoarse[int]() }},
-		{"Lazy", func() cds.Set[int] { return list.NewLazy[int]() }},
-		{"Harris", func() cds.Set[int] { return list.NewHarris[int]() }},
-	}
-	return []Scenario{
-		setScenario("list", "read90/10-uniform-1k", 90, 1024, 0, impls),
-		setScenario("list", "read50/50-uniform-1k", 50, 1024, 0, impls),
-	}
+// barrierImpls build an n-party barrier and return its per-party handle
+// factory.
+var barrierImpls = []struct {
+	label string
+	mk    func(n int) func() interface{ Wait() }
+}{
+	{"Sense", func(n int) func() interface{ Wait() } {
+		b := barrier.NewSense(n)
+		return func() interface{ Wait() } { return b.Handle() }
+	}},
+	{"Tree", func(n int) func() interface{ Wait() } {
+		b := barrier.NewTree(n)
+		return func() interface{ Wait() } { return b.Handle() }
+	}},
+	{"Dissemination", func(n int) func() interface{ Wait() } {
+		b := barrier.NewDissemination(n)
+		return func() interface{ Wait() } { return b.Handle() }
+	}},
 }
 
-func skiplistScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Set[int]
-	}{
-		{"Lazy", func() cds.Set[int] { return skiplist.NewLazy[int]() }},
-		{"LockFree", func() cds.Set[int] { return skiplist.NewLockFree[int]() }},
-	}
-	return []Scenario{
-		setScenario("skiplist", "read90/10-zipf0.99", 90, 1<<16, 0.99, impls),
-		setScenario("skiplist", "read50/50-uniform", 50, 1<<16, 0, impls),
-	}
-}
-
-func pqueueScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.PriorityQueue[int]
-	}{
-		{"LockedHeap", func() cds.PriorityQueue[int] {
-			return pqueue.NewHeap[int](func(a, b int) bool { return a < b })
-		}},
-		{"SkipListPQ", func() cds.PriorityQueue[int] { return pqueue.NewSkipList[int]() }},
-		{"FCHeap", func() cds.PriorityQueue[int] {
-			return pqueue.NewFC[int](func(a, b int) bool { return a < b })
-		}},
-	}
-	mkScenario := func(name string, insertPct int) Scenario {
-		s := Scenario{Family: "pqueue", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				pq := mk()
-				pre := xrand.New(11)
-				for i := 0; i < 4096; i++ {
-					pq.Insert(pre.Intn(1 << 20))
-				}
-				ops := cfg.ops(60000)
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					mix := NewMixGen(uint64(w)*13+17, insertPct, 100-insertPct)
-					rng := xrand.New(uint64(w) + 17)
-					return func(int) {
-						if mix.Next() == 0 {
-							pq.Insert(rng.Intn(1 << 20))
-						} else {
-							pq.TryDeleteMin()
-						}
-					}
-				})
-			}})
-		}
-		return s
-	}
-	return []Scenario{
-		mkScenario("insert-heavy-90/10", 90),
-		mkScenario("balanced-50/50", 50),
-	}
-}
-
-func dequeScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Deque[int]
-	}{
-		{"ChaseLev", func() cds.Deque[int] { return deque.NewChaseLev[int](1024) }},
-		{"MutexDeque", func() cds.Deque[int] { return deque.NewMutex[int]() }},
-		{"FCDeque", func() cds.Deque[int] { return deque.NewFC[int]() }},
-	}
-	// Worker 0 is the deque's owner (PushBottom/TryPopBottom are
-	// owner-only on Chase-Lev); every other worker is a thief driving
-	// TryPopTop. The two mixes vary how much the owner feeds the thieves.
-	mkScenario := func(name string, pushPct int) Scenario {
-		s := Scenario{Family: "deque", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				d := mk()
-				ops := cfg.ops(200000)
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					if w > 0 {
-						return func(int) { d.TryPopTop() }
-					}
-					mix := NewMixGen(uint64(w)*43+3, pushPct, 100-pushPct)
-					return func(i int) {
-						if mix.Next() == 0 {
-							d.PushBottom(i)
-						} else {
-							d.TryPopBottom()
-						}
-					}
-				})
-			}})
-		}
-		return s
-	}
-	return []Scenario{
-		mkScenario("owner-push-heavy-75/25", 75),
-		mkScenario("owner-balanced-50/50", 50),
-	}
-}
-
-func counterScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Counter
-	}{
-		{"Atomic", func() cds.Counter { return &counter.Atomic{} }},
-		{"Sharded", func() cds.Counter { return counter.NewSharded(0) }},
-		{"Approx", func() cds.Counter { return counter.NewApprox(0, 64) }},
-	}
-	mkScenario := func(name string, incPct int) Scenario {
-		s := Scenario{Family: "counter", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				c := mk()
-				ops := cfg.ops(300000)
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					if incPct == 100 {
-						return func(int) { c.Inc() }
-					}
-					mix := NewMixGen(uint64(w)*53+9, incPct, 100-incPct)
-					return func(int) {
-						if mix.Next() == 0 {
-							c.Inc()
-						} else {
-							c.Load()
-						}
-					}
-				})
-			}})
-		}
-		return s
-	}
-	return []Scenario{
-		mkScenario("inc-only", 100),
-		mkScenario("inc90/load10", 90),
-	}
-}
-
-func stmScenarios() []Scenario {
-	mkScenario := func(name string, accounts int) Scenario {
-		s := Scenario{Family: "stm", Name: name}
-		s.Algos = append(s.Algos, ScenarioAlgo{Label: "STM", Run: func(cfg Config, th int) Result {
-			vars := make([]*stm.TVar[int], accounts)
-			for i := range vars {
-				vars[i] = stm.NewTVar(1000)
-			}
-			ops := cfg.ops(60000)
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				rng := xrand.New(uint64(w) + 23)
+// barrierScenario measures barrier episodes. phaseWork sets how much local
+// computation separates episodes: 0 is the pure synchronisation cost,
+// larger values stagger the arrivals — the regime where tree/dissemination
+// structure pays off because early arrivals overlap waiting with the
+// stragglers' work.
+func barrierScenario(name string, phaseWork int, run runner) Scenario {
+	s := Scenario{Family: "barrier", Name: name}
+	for _, im := range barrierImpls {
+		s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
+			handle := im.mk(th)
+			return run(th, cfg.ops(20000), func(w int) func(int) {
+				h := handle()
+				sink := uint64(w)
 				return func(int) {
-					from, to := rng.Intn(accounts), rng.Intn(accounts)
-					if from == to {
-						to = (to + 1) % accounts
+					for k := 0; k < phaseWork*(w+1)/th; k++ {
+						xrand.SplitMix64(&sink)
 					}
-					stm.Atomically(func(tx *stm.Txn) {
-						f := vars[from].Read(tx)
-						vars[from].Write(tx, f-1)
-						vars[to].Write(tx, vars[to].Read(tx)+1)
-					})
+					h.Wait()
 				}
 			})
 		}})
-		s.Algos = append(s.Algos, ScenarioAlgo{Label: "GlobalLock", Run: func(cfg Config, th int) Result {
-			balances := make([]int, accounts)
-			var mu sync.Mutex
-			ops := cfg.ops(60000)
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				rng := xrand.New(uint64(w) + 23)
-				return func(int) {
-					from, to := rng.Intn(accounts), rng.Intn(accounts)
-					if from == to {
-						to = (to + 1) % accounts
-					}
-					mu.Lock()
-					balances[from]--
-					balances[to]++
-					mu.Unlock()
-				}
-			})
-		}})
-		return s
 	}
-	return []Scenario{
-		mkScenario("transfer-64-accounts", 64),
-		mkScenario("transfer-8k-accounts", 1<<13),
-	}
-}
-
-func barrierScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func(n int) []interface{ Wait() }
-	}{
-		{"Sense", func(n int) []interface{ Wait() } {
-			b := barrier.NewSense(n)
-			hs := make([]interface{ Wait() }, n)
-			for i := range hs {
-				hs[i] = b.Handle()
-			}
-			return hs
-		}},
-		{"Tree", func(n int) []interface{ Wait() } {
-			b := barrier.NewTree(n)
-			hs := make([]interface{ Wait() }, n)
-			for i := range hs {
-				hs[i] = b.Handle()
-			}
-			return hs
-		}},
-		{"Dissemination", func(n int) []interface{ Wait() } {
-			b := barrier.NewDissemination(n)
-			hs := make([]interface{ Wait() }, n)
-			for i := range hs {
-				hs[i] = b.Handle()
-			}
-			return hs
-		}},
-	}
-	// phaseWork sets how much local computation separates episodes: 0 is
-	// the pure synchronisation cost, larger values stagger the arrivals —
-	// the regime where tree/dissemination structure pays off because early
-	// arrivals overlap waiting with the stragglers' work.
-	mkScenario := func(name string, phaseWork int) Scenario {
-		s := Scenario{Family: "barrier", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				hs := mk(th)
-				episodes := cfg.ops(20000)
-				return RunLatency(th, episodes, func(w int) func(int) {
-					h := hs[w]
-					sink := uint64(w)
-					return func(int) {
-						for k := 0; k < phaseWork*(w+1)/th; k++ {
-							xrand.SplitMix64(&sink)
-						}
-						h.Wait()
-					}
-				})
-			}})
-		}
-		return s
-	}
-	return []Scenario{
-		mkScenario("back-to-back-episodes", 0),
-		mkScenario("staggered-arrival", 64),
-	}
+	return s
 }
 
 func reclaimScenarios() []Scenario {
@@ -738,317 +452,62 @@ func delegatorGauges(s contend.DelegatorStats) map[string]float64 {
 	}
 }
 
-// combiningBackendSweep is the delegation-strategy axis of the S13 cells:
-// every combining-backed structure is measured over all three backends so
-// the flat-combining/CC-Synch/DSM-Synch comparison is direct per scenario.
-func combiningBackendSweep() []contend.Backend { return contend.Backends() }
-
-// contendScenarios showcases the contention-management layer: the
-// combining/elimination-backed variants under the high-contention symmetric
-// mixes they were designed for. Unlike the family matrices above, these
-// cells start empty (no prefill): the symmetric 50/50 mix then keeps the
-// structures hovering near empty, which maximises head/tail (or top)
-// collisions — the regime where elimination pairs operations off and
-// combining batches them, and where the plain CAS loops degrade. Every
-// combining-backed row is swept over the three delegation backends and
-// carries the backend gauges (batches, avg/max batch, handoffs).
-func contendScenarios() []Scenario {
-	queueSc := Scenario{Family: "contend", Name: "queue-symmetric-50/50-empty"}
-	type qimpl struct {
-		label  string
-		mk     func() cds.Queue[int]
-		gauges func(cds.Queue[int]) map[string]float64
-	}
-	qimpls := []qimpl{
-		{label: "MS", mk: func() cds.Queue[int] { return queue.NewMS[int]() }},
-		{label: "ElimMS", mk: func() cds.Queue[int] { return queue.NewElimination[int](0, 0) }},
-	}
-	for _, be := range combiningBackendSweep() {
-		be := be
-		label := "FC"
-		if be != contend.BackendFlatCombining {
-			label = "FC/" + be.String()
-		}
-		qimpls = append(qimpls, qimpl{
-			label: label,
-			mk:    func() cds.Queue[int] { return fc.NewQueue[int](fc.WithBackend(be)) },
-			gauges: func(q cds.Queue[int]) map[string]float64 {
-				return delegatorGauges(q.(*fc.Queue[int]).Stats())
-			},
-		})
-	}
-	for _, im := range qimpls {
-		im := im
-		queueSc.Algos = append(queueSc.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			q := im.mk()
-			ops := cfg.ops(200000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
-				mix := NewMixGen(uint64(w)*104729+13, 50, 50)
-				return func(i int) {
-					if mix.Next() == 0 {
-						q.Enqueue(i)
-					} else {
-						q.TryDequeue()
-					}
+// stalledReaderScenario is S14's adversarial cell: worker 0 holds a guard
+// section open across stallBatch operations on the lock-free skip list
+// while the rest churn add/remove. EBR cannot advance the epoch past a
+// pinned reader, so its pending gauge grows with the stall length; HP's
+// stays bounded by the slot count.
+func stalledReaderScenario() Scenario {
+	const keyRange, stallBatch = 256, 2048
+	sc := Scenario{Family: "reclaim-structs", Name: "skiplist-stalled-reader-churn"}
+	for _, r := range catalog.Select("skiplist", catalog.ReclaimScenario) {
+		for _, o := range reclaimSweep(r) {
+			sc.Algos = append(sc.Algos, ScenarioAlgo{Label: r.Label + "/" + reclaimLabel(o), Run: func(cfg Config, th int) Result {
+				built, dom := r.New(o)
+				s := built.(cds.Set[int])
+				pre := xrand.New(3)
+				for i := 0; i < keyRange/2; i++ {
+					s.Add(pre.Intn(keyRange))
 				}
-			})
-			if im.gauges != nil {
-				res.Gauges = im.gauges(q)
-			}
-			return res
-		}})
-	}
-
-	pqSc := Scenario{Family: "contend", Name: "pqueue-symmetric-50/50"}
-	type pqimpl struct {
-		label  string
-		mk     func() cds.PriorityQueue[int]
-		gauges func(cds.PriorityQueue[int]) map[string]float64
-	}
-	pqimpls := []pqimpl{
-		{label: "LockedHeap", mk: func() cds.PriorityQueue[int] {
-			return pqueue.NewHeap[int](func(a, b int) bool { return a < b })
-		}},
-		{label: "SkipListPQ", mk: func() cds.PriorityQueue[int] { return pqueue.NewSkipList[int]() }},
-	}
-	for _, be := range combiningBackendSweep() {
-		be := be
-		label := "FCHeap"
-		if be != contend.BackendFlatCombining {
-			label = "FCHeap/" + be.String()
-		}
-		pqimpls = append(pqimpls, pqimpl{
-			label: label,
-			mk: func() cds.PriorityQueue[int] {
-				return pqueue.NewFC[int](func(a, b int) bool { return a < b }, pqueue.WithBackend(be))
-			},
-			gauges: func(q cds.PriorityQueue[int]) map[string]float64 {
-				return delegatorGauges(q.(*pqueue.FC[int]).Stats())
-			},
-		})
-	}
-	for _, im := range pqimpls {
-		im := im
-		pqSc.Algos = append(pqSc.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			pq := im.mk()
-			ops := cfg.ops(60000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
-				mix := NewMixGen(uint64(w)*104729+29, 50, 50)
-				rng := xrand.New(uint64(w) + 43)
-				return func(int) {
-					if mix.Next() == 0 {
-						pq.Insert(rng.Intn(1 << 20))
-					} else {
-						pq.TryDeleteMin()
-					}
-				}
-			})
-			if im.gauges != nil {
-				res.Gauges = im.gauges(pq)
-			}
-			return res
-		}})
-	}
-
-	// The deque cell drives both ends from every worker — the symmetric
-	// workload Chase-Lev's owner restriction rules out, so the combining
-	// deque is compared against the locked baseline.
-	dqSc := Scenario{Family: "contend", Name: "deque-symmetric-both-ends"}
-	type dqimpl struct {
-		label  string
-		mk     func() cds.Deque[int]
-		gauges func(cds.Deque[int]) map[string]float64
-	}
-	dqimpls := []dqimpl{
-		{label: "MutexDeque", mk: func() cds.Deque[int] { return deque.NewMutex[int]() }},
-	}
-	for _, be := range combiningBackendSweep() {
-		be := be
-		label := "FCDeque"
-		if be != contend.BackendFlatCombining {
-			label = "FCDeque/" + be.String()
-		}
-		dqimpls = append(dqimpls, dqimpl{
-			label: label,
-			mk:    func() cds.Deque[int] { return deque.NewFC[int](deque.WithBackend(be)) },
-			gauges: func(d cds.Deque[int]) map[string]float64 {
-				return delegatorGauges(d.(*deque.FC[int]).Stats())
-			},
-		})
-	}
-	for _, im := range dqimpls {
-		im := im
-		dqSc.Algos = append(dqSc.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			d := im.mk()
-			ops := cfg.ops(200000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
-				mix := NewMixGen(uint64(w)*104729+31, 40, 30, 30)
-				return func(i int) {
-					switch mix.Next() {
-					case 0:
-						d.PushBottom(i)
-					case 1:
-						d.TryPopBottom()
-					default:
-						d.TryPopTop()
-					}
-				}
-			})
-			if im.gauges != nil {
-				res.Gauges = im.gauges(d)
-			}
-			return res
-		}})
-	}
-
-	// The counter cell is the smallest combining payload — pure delegation
-	// overhead, no structure work to hide it — so the three backends (and
-	// the atomic baseline) separate most cleanly here.
-	ctrSc := Scenario{Family: "contend", Name: "counter-inc-heavy-90/10"}
-	type cimpl struct {
-		label  string
-		mk     func() cds.Counter
-		gauges func(cds.Counter) map[string]float64
-	}
-	cimpls := []cimpl{
-		{label: "Atomic", mk: func() cds.Counter { return &counter.Atomic{} }},
-	}
-	for _, be := range combiningBackendSweep() {
-		be := be
-		label := "Combining"
-		if be != contend.BackendFlatCombining {
-			label = "Combining/" + be.String()
-		}
-		cimpls = append(cimpls, cimpl{
-			label: label,
-			mk:    func() cds.Counter { return counter.NewCombining(counter.WithBackend(be)) },
-			gauges: func(c cds.Counter) map[string]float64 {
-				return delegatorGauges(c.(*counter.Combining).Stats())
-			},
-		})
-	}
-	for _, im := range cimpls {
-		im := im
-		ctrSc.Algos = append(ctrSc.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			c := im.mk()
-			ops := cfg.ops(200000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
-				mix := NewMixGen(uint64(w)*104729+37, 90, 10)
-				return func(int) {
-					if mix.Next() == 0 {
-						c.Inc()
-					} else {
-						c.Load()
-					}
-				}
-			})
-			if im.gauges != nil {
-				res.Gauges = im.gauges(c)
-			}
-			return res
-		}})
-	}
-
-	return []Scenario{queueSc, pqSc, dqSc, ctrSc}
-}
-
-// reclaimStructScenarios (experiment S14) measures the reclamation layer
-// where it actually lives: wired into the lock-free structures via
-// WithReclaim. Two delete-heavy churn mixes exercise the retire/unlink
-// hot path on the list and the map, and a stalled-reader cell pins one
-// guard across long batches on the skip list — the adversarial regime
-// where EBR's pending garbage grows without bound while HP's stays capped
-// at the slot count. Every record carries the end-of-run pending_garbage
-// and reclaimed gauges.
-func reclaimStructScenarios() []Scenario {
-	const keyRange = 256
-
-	listSc := Scenario{Family: "reclaim-structs", Name: "list-delete-heavy-40/40/20"}
-	for _, v := range reclaimVariantSweep() {
-		v := v
-		listSc.Algos = append(listSc.Algos, ScenarioAlgo{Label: "Harris/" + v.label, Run: func(cfg Config, th int) Result {
-			return reclaimListChurn(v, th, cfg.ops(60000), keyRange)
-		}})
-	}
-
-	mapSc := Scenario{Family: "reclaim-structs", Name: "map-delete-heavy-40/40/20"}
-	for _, v := range reclaimVariantSweep() {
-		v := v
-		mapSc.Algos = append(mapSc.Algos, ScenarioAlgo{Label: "SplitOrdered/" + v.label, Run: func(cfg Config, th int) Result {
-			return reclaimMapChurn(v, th, cfg.ops(60000), keyRange)
-		}})
-	}
-
-	// Stalled-reader pressure: worker 0 holds a guard section open across
-	// stallBatch operations while the rest churn add/remove. EBR cannot
-	// advance the epoch past a pinned reader, so its pending gauge grows
-	// with the stall length; HP's stays bounded by the slot count.
-	const stallBatch = 2048
-	stallSc := Scenario{Family: "reclaim-structs", Name: "skiplist-stalled-reader-churn"}
-	for _, v := range reclaimVariantSweep() {
-		if v.recycle {
-			continue // the skip list has no recycling mode
-		}
-		v := v
-		stallSc.Algos = append(stallSc.Algos, ScenarioAlgo{Label: "LockFree/" + v.label, Run: func(cfg Config, th int) Result {
-			var dom reclaim.Domain
-			var opts []skiplist.Option
-			if v.dom != nil {
-				dom = v.dom()
-				opts = append(opts, skiplist.WithReclaim(dom))
-			}
-			s := skiplist.NewLockFree[int](opts...)
-			pre := xrand.New(3)
-			for i := 0; i < keyRange/2; i++ {
-				s.Add(pre.Intn(keyRange))
-			}
-			var stall reclaim.Guard
-			if dom != nil {
-				stall = dom.NewGuard(1)
-			}
-			ops := cfg.ops(60000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
-				if w == 0 {
-					// The stalled reader: reads inside a section it only
-					// leaves every stallBatch operations.
-					rng := xrand.New(uint64(w) + 51)
-					count := 0
-					if stall != nil {
+				stall := dom.NewGuard(1)
+				res := RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
+					if w == 0 {
+						// The stalled reader: reads inside a section it only
+						// leaves every stallBatch operations.
+						rng := xrand.New(uint64(w) + 51)
+						count := 0
 						stall.Enter()
+						//cdsvet:ignore guardexit stalled-reader scenario: the guard deliberately stays entered across the factory return to pin reclamation
+						return func(int) {
+							s.Contains(rng.Intn(keyRange))
+							count++
+							if count%stallBatch == 0 {
+								stall.Exit()
+								stall.Enter()
+							}
+						} //cdsvet:ignore guardexit stalled-reader scenario: the worker exits and re-enters only every stallBatch ops, holding the guard between calls on purpose
 					}
-					//cdsvet:ignore guardexit stalled-reader scenario: the guard deliberately stays entered across the factory return to pin reclamation
+					mix := NewMixGen(uint64(w)*61+31, 50, 50)
+					rng := xrand.New(uint64(w)*7919 + 5)
 					return func(int) {
-						s.Contains(rng.Intn(keyRange))
-						count++
-						if stall != nil && count%stallBatch == 0 {
-							stall.Exit()
-							stall.Enter()
+						k := rng.Intn(keyRange)
+						if mix.Next() == 0 {
+							s.Add(k)
+						} else {
+							s.Remove(k)
 						}
-					} //cdsvet:ignore guardexit stalled-reader scenario: the worker exits and re-enters only every stallBatch ops, holding the guard between calls on purpose
-				}
-				mix := NewMixGen(uint64(w)*61+31, 50, 50)
-				rng := xrand.New(uint64(w)*7919 + 5)
-				return func(int) {
-					k := rng.Intn(keyRange)
-					if mix.Next() == 0 {
-						s.Add(k)
-					} else {
-						s.Remove(k)
 					}
-				}
-			})
-			// Snapshot the gauges while the stall is still pinned: the
-			// whole point is the garbage a stalled reader strands.
-			res.Gauges = reclaimGauges(dom)
-			if stall != nil {
+				})
+				// Snapshot the gauges while the stall is still pinned: the
+				// whole point is the garbage a stalled reader strands.
+				res.Gauges = reclaimGauges(dom)
 				stall.Exit()
 				stall.Release()
-			}
-			return res
-		}})
+				return res
+			}})
+		}
 	}
-
-	return []Scenario{listSc, mapSc, stallSc}
+	return sc
 }
 
 // chanBQ adapts a Go channel to the blocking-queue shape so the dual
@@ -1203,45 +662,5 @@ func dualScenarios() []Scenario {
 				}
 			}
 		}),
-	}
-}
-
-func lockScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() sync.Locker
-	}{
-		{"sync.Mutex", func() sync.Locker { return &sync.Mutex{} }},
-		{"Backoff", func() sync.Locker { return &locks.BackoffLock{} }},
-		{"Ticket", func() sync.Locker { return &locks.TicketLock{} }},
-	}
-	// csWork controls the critical-section length: 0 is the tiny
-	// increment-only section of F1, larger values emulate real protected
-	// work (~4ns per SplitMix64 round).
-	mkScenario := func(name string, csWork int) Scenario {
-		s := Scenario{Family: "locks", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				l := mk()
-				shared := uint64(0)
-				ops := cfg.ops(100000)
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					return func(int) {
-						l.Lock()
-						shared++
-						for k := 0; k < csWork; k++ {
-							xrand.SplitMix64(&shared)
-						}
-						l.Unlock()
-					}
-				})
-			}})
-		}
-		return s
-	}
-	return []Scenario{
-		mkScenario("tiny-critical-section", 0),
-		mkScenario("long-critical-section-~250ns", 64),
 	}
 }

@@ -128,143 +128,6 @@ func TestScenarioRecordsCarryLatency(t *testing.T) {
 	}
 }
 
-// TestReclaimStructScenarioShape: the S14 family must compare the
-// reclamation schemes per structure — GC, EBR, HP, and (where reuse is
-// sound) Recycled — and every record must carry the pending-garbage and
-// reclaimed gauges the acceptance bar names.
-func TestReclaimStructScenarioShape(t *testing.T) {
-	cfg := Config{Quick: true, Threads: []int{2}, Ops: 3000}
-	var fam []Scenario
-	for _, s := range Scenarios() {
-		if s.Family == "reclaim-structs" {
-			fam = append(fam, s)
-		}
-	}
-	if len(fam) < 3 {
-		t.Fatalf("reclaim-structs has %d scenarios, want >= 3", len(fam))
-	}
-	wantVariants := map[string][]string{
-		"list-delete-heavy-40/40/20":    {"Harris/GC", "Harris/EBR", "Harris/HP", "Harris/Recycled"},
-		"map-delete-heavy-40/40/20":     {"SplitOrdered/GC", "SplitOrdered/EBR", "SplitOrdered/HP", "SplitOrdered/Recycled"},
-		"skiplist-stalled-reader-churn": {"LockFree/GC", "LockFree/EBR", "LockFree/HP"},
-	}
-	for _, s := range fam {
-		want, ok := wantVariants[s.Name]
-		if !ok {
-			t.Errorf("unexpected reclaim-structs scenario %q", s.Name)
-			continue
-		}
-		var got []string
-		for _, a := range s.Algos {
-			got = append(got, a.Label)
-		}
-		if len(got) != len(want) {
-			t.Errorf("%s: algos = %v, want %v", s.Name, got, want)
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("%s: algo[%d] = %q, want %q", s.Name, i, got[i], want[i])
-			}
-		}
-		for _, r := range s.Run(cfg) {
-			if r.Gauges == nil {
-				t.Errorf("%s/%s: record missing gauges", s.Name, r.Algo)
-				continue
-			}
-			for _, key := range []string{"pending_garbage", "reclaimed"} {
-				if _, ok := r.Gauges[key]; !ok {
-					t.Errorf("%s/%s: gauge %q missing", s.Name, r.Algo, key)
-				}
-			}
-			if r.Gauges["pending_garbage"] < 0 {
-				t.Errorf("%s/%s: negative pending garbage", s.Name, r.Algo)
-			}
-		}
-	}
-}
-
-// TestDualScenarioShape: the S15 blocking family must compare the three
-// dual structures against the channel baseline, and every dual record
-// must carry the waiter-management gauges (parks, fulfilled, ...) the
-// acceptance bar names. The channel baseline carries none — the runtime
-// does not expose its park counts.
-func TestDualScenarioShape(t *testing.T) {
-	cfg := Config{Quick: true, Threads: []int{2}, Ops: 1000}
-	var fam []Scenario
-	for _, s := range Scenarios() {
-		if s.Family == "dual" {
-			fam = append(fam, s)
-		}
-	}
-	if len(fam) < 3 {
-		t.Fatalf("dual family has %d scenarios, want >= 3", len(fam))
-	}
-	wantAlgos := []string{"DualMS", "Sync", "Bounded", "Channel"}
-	for _, s := range fam {
-		var got []string
-		for _, a := range s.Algos {
-			got = append(got, a.Label)
-		}
-		if len(got) != len(wantAlgos) {
-			t.Errorf("%s: algos = %v, want %v", s.Name, got, wantAlgos)
-			continue
-		}
-		for i := range wantAlgos {
-			if got[i] != wantAlgos[i] {
-				t.Errorf("%s: algo[%d] = %q, want %q", s.Name, i, got[i], wantAlgos[i])
-			}
-		}
-		for _, r := range s.Run(cfg) {
-			if r.Algo == "Channel" {
-				if r.Gauges != nil {
-					t.Errorf("%s/Channel: unexpected gauges %v", s.Name, r.Gauges)
-				}
-				continue
-			}
-			if r.Gauges == nil {
-				t.Errorf("%s/%s: record missing gauges", s.Name, r.Algo)
-				continue
-			}
-			for _, key := range []string{"parks", "fulfilled", "reservations", "cancelled", "handoffs"} {
-				if _, ok := r.Gauges[key]; !ok {
-					t.Errorf("%s/%s: gauge %q missing", s.Name, r.Algo, key)
-				}
-			}
-			if r.P99Ns == 0 || r.Samples == 0 {
-				t.Errorf("%s/%s: latency fields missing: %+v", s.Name, r.Algo, r)
-			}
-		}
-	}
-}
-
-// TestDualScenarioGaugesMove runs the rendezvous cell long enough that
-// the slow path engages and checks the gauges are not identically zero —
-// the smoke that the counters are actually wired to the structures.
-func TestDualScenarioGaugesMove(t *testing.T) {
-	cfg := Config{Quick: true, Threads: []int{2}, Ops: 4000}
-	for _, s := range Scenarios() {
-		if s.Family != "dual" || s.Name != "rendezvous-50/50-cancel" {
-			continue
-		}
-		for _, a := range s.Algos {
-			if a.Label != "Sync" {
-				continue
-			}
-			rec := a.Run(cfg, 2).Record(s.Family, a.Label, s.Name)
-			total := 0.0
-			for _, v := range rec.Gauges {
-				total += v
-			}
-			if total == 0 {
-				t.Errorf("Sync rendezvous cell moved no gauges: %v", rec.Gauges)
-			}
-			return
-		}
-	}
-	t.Fatal("rendezvous-50/50-cancel / Sync cell not found")
-}
-
 // TestPoolScenarioShape: the S16 pool family must compare the
 // work-stealing executor against the shared locked-queue and channel
 // baselines, every cell must conserve its task graph (Ops identical

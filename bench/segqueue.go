@@ -2,8 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
+	cds "github.com/cds-suite/cds"
+	"github.com/cds-suite/cds/catalog"
 	"github.com/cds-suite/cds/queue"
 	"github.com/cds-suite/cds/reclaim"
 )
@@ -30,8 +31,8 @@ type segWorkerCounts struct {
 // segHarnessGauges folds the per-worker tallies into the conservation
 // gauges. prefill counts as enqueues (the harness performed them before
 // the measured region) so the identity enqueues == dequeues + residual
-// holds exactly. extra, when non-nil, contributes the structure's own
-// end-of-run counters.
+// holds exactly. extra contributes the structure's own end-of-run
+// counters.
 func segHarnessGauges(counts []segWorkerCounts, prefill, residual int, extra func() map[string]float64) map[string]float64 {
 	var enq, deq int64
 	for i := range counts {
@@ -43,12 +44,7 @@ func segHarnessGauges(counts []segWorkerCounts, prefill, residual int, extra fun
 		"dequeues": float64(deq),
 		"residual": float64(residual),
 	}
-	if extra != nil {
-		for k, v := range extra() {
-			g[k] = v
-		}
-	}
-	return g
+	return merge(g, extra())
 }
 
 // segStatGauges flattens a segmented queue's segment-lifecycle counters
@@ -80,7 +76,7 @@ func mpmcStatGauges(s queue.MPMCStats) map[string]float64 {
 // segDriver adapts one queue implementation to the S18 harness: enq/deq
 // report success (so failed bounded-ring tickets and empty dequeues do not
 // corrupt the conservation gauges), length reads the residual, and gauges
-// (optional) snapshots the structure's own counters.
+// snapshots the structure's own counters (nil when it has none).
 type segDriver struct {
 	enq    func(int) bool
 	deq    func() bool
@@ -88,64 +84,30 @@ type segDriver struct {
 	gauges func() map[string]float64
 }
 
-func msSegDriver() segDriver {
-	q := queue.NewMS[int]()
-	return segDriver{
-		enq:    func(v int) bool { q.Enqueue(v); return true },
-		deq:    func() bool { _, ok := q.TryDequeue(); return ok },
-		length: q.Len,
-	}
-}
-
-func lcrqSegDriver(opts ...queue.Option) segDriver {
-	q := queue.NewLCRQ[int](opts...)
-	return segDriver{
-		enq:    func(v int) bool { q.Enqueue(v); return true },
-		deq:    func() bool { _, ok := q.TryDequeue(); return ok },
-		length: q.Len,
-		gauges: func() map[string]float64 { return segStatGauges(q.Stats()) },
-	}
-}
-
-// lcrqEBRSegDriver runs the LCRQ with real reclamation and segment
-// recycling — the deployment shape — and merges the domain's
-// pending/reclaimed gauges with the segment counters. The advance interval
-// is forced to 1 so even quick runs exercise the recycler.
-func lcrqEBRSegDriver() segDriver {
-	dom := reclaim.NewEBR()
-	dom.SetAdvanceInterval(1)
-	q := queue.NewLCRQ[int](queue.WithReclaim(dom), queue.WithRecycling())
-	return segDriver{
-		enq:    func(v int) bool { q.Enqueue(v); return true },
-		deq:    func() bool { _, ok := q.TryDequeue(); return ok },
-		length: q.Len,
-		gauges: func() map[string]float64 {
-			g := segStatGauges(q.Stats())
-			for k, v := range reclaimGauges(dom) {
-				g[k] = v
-			}
-			return g
-		},
-	}
-}
-
-func mpscSegDriver() segDriver {
-	q := queue.NewMPSC[int]()
-	return segDriver{
-		enq:    func(v int) bool { q.Enqueue(v); return true },
-		deq:    func() bool { _, ok := q.TryDequeue(); return ok },
-		length: q.Len,
-		gauges: func() map[string]float64 { return segStatGauges(q.Stats()) },
-	}
-}
-
-func mpmcSegDriver() segDriver {
-	q := queue.NewMPMC[int](1 << 16)
-	return segDriver{
-		enq:    q.TryEnqueue,
-		deq:    func() bool { _, ok := q.TryDequeue(); return ok },
-		length: q.Len,
-		gauges: func() map[string]float64 { return mpmcStatGauges(q.Stats()) },
+// segDriverFor builds drivers over the catalogue's queue-family row with
+// the given label. Under a deferring domain the cell runs the deployment
+// shape — real reclamation, segment recycling if o asks for it — with the
+// advance interval forced to 1 so even quick runs exercise the recycler,
+// and the domain's pending/reclaimed gauges join the segment counters.
+func segDriverFor(label string, o catalog.Options) func() segDriver {
+	row := catalog.Find("queue", label)
+	return func() segDriver {
+		s, dom := row.New(o)
+		if ebr, ok := dom.(*reclaim.EBR); ok {
+			ebr.SetAdvanceInterval(1)
+		}
+		d := segDriver{gauges: func() map[string]float64 { return cellGauges(s, dom, false) }}
+		switch q := s.(type) {
+		case cds.Queue[int]:
+			d.enq = func(v int) bool { q.Enqueue(v); return true }
+			d.deq = func() bool { _, ok := q.TryDequeue(); return ok }
+			d.length = q.Len
+		case cds.BoundedQueue[int]:
+			d.enq = q.TryEnqueue
+			d.deq = func() bool { _, ok := q.TryDequeue(); return ok }
+			d.length = q.Len
+		}
+		return d
 	}
 }
 
@@ -176,11 +138,12 @@ func segQueueScenarios() []Scenario {
 		label string
 		mk    func() segDriver
 	}
+	none := catalog.Options{}
 	common := []impl{
-		{"MS", msSegDriver},
-		{"LCRQ", func() segDriver { return lcrqSegDriver() }},
-		{"LCRQ/EBR-recycle", lcrqEBRSegDriver},
-		{"MPMC-64k", mpmcSegDriver},
+		{"MS", segDriverFor("MS", none)},
+		{"LCRQ", segDriverFor("LCRQ", none)},
+		{"LCRQ/EBR-recycle", segDriverFor("LCRQ", catalog.Options{Scheme: catalog.EBR, Recycle: true})},
+		{"MPMC-64k", segDriverFor("MPMC-64k", none)},
 	}
 
 	// hot-5050: prefilled symmetric mix — the common-case regime where the
@@ -233,7 +196,7 @@ func segQueueScenarios() []Scenario {
 	// against the full LCRQ. At one thread the cell degenerates to
 	// enqueue/dequeue pairs (still single-consumer).
 	inject := Scenario{Family: "queue-segmented", Name: "pool-injection-1-consumer"}
-	for _, im := range append(common[:3:3], impl{"MPSC", mpscSegDriver}, common[3]) {
+	for _, im := range append(common[:3:3], impl{"MPSC", segDriverFor("MPSC", none)}, common[3]) {
 		mk := im.mk
 		inject.Algos = append(inject.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
 			return runSegCell(cfg, th, 0, mk, func(w, th int, d segDriver, c *segWorkerCounts) func(int) {
@@ -266,106 +229,25 @@ func segQueueScenarios() []Scenario {
 	return []Scenario{hot, burst, inject}
 }
 
-// segQueueS2Algos returns the gauge-carrying additions to the S2 queue
-// family: the LCRQ alongside the linked designs it replaces, and the
-// bounded MPMC ring whose CAS-miss/backoff gauges pin the S2 backoff fix
-// observably. Both cells mirror the existing S2 mixes exactly (same
-// prefill, op budget, and mix seeds) so the new rows are comparable with
-// the incumbent ones.
-func segQueueS2Algos() (mixed, split []ScenarioAlgo) {
-	type gauged struct {
-		label string
-		mk    func() segDriver
-	}
-	impls := []gauged{
-		{"LCRQ", func() segDriver { return lcrqSegDriver() }},
-		{"MPMC-64k", mpmcSegDriver},
-	}
-	for _, im := range impls {
-		mk := im.mk
-		mixed = append(mixed, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			d := mk()
-			for i := 0; i < 1024; i++ {
-				d.enq(i)
+// segSizeScenario (A5) sweeps the LCRQ's segment size on the symmetric
+// 50/50 mix, with queue.MS and the 64k MPMC ring re-measured at every X as
+// flat baselines (neither takes a segment-size parameter; re-measuring
+// keeps their noise floor honest rather than drawing a single stale line).
+// The sweep brackets the default: 64 retires segments fast enough to stress
+// the reclaim path, 1024 amortises allocation hardest but strands more
+// slots on residual queues.
+func segSizeScenario() Scenario {
+	name := fmt.Sprintf("A5: LCRQ segment-size sweep at %d threads, 50/50 enq-deq (MS and MPMC-64k as baselines)", fullThreads())
+	wl := catalog.Workload{Name: name, Mix: []int{50, 50}, Prefill: 1024, Ops: 200000}
+	s := Scenario{Family: "queue-segmented", Name: name, Xs: func(Config) []int { return []int{64, 256, 1024} }}
+	for _, label := range []string{"MS", "LCRQ", "MPMC-64k"} {
+		row := catalog.Find("queue", label)
+		s.Algos = append(s.Algos, ScenarioAlgo{Label: label, Run: func(cfg Config, segSize int) Result {
+			if label == "LCRQ" {
+				return drive(cfg, row, queue.NewLCRQ[int](queue.WithSegmentSize(segSize)), wl, fullThreads(), Run)
 			}
-			ops := cfg.ops(200000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
-				mix := NewMixGen(uint64(w)*7919+1, 70, 30)
-				return func(i int) {
-					if mix.Next() == 0 {
-						d.enq(i)
-					} else {
-						d.deq()
-					}
-				}
-			})
-			res.Gauges = d.gauges()
-			return res
-		}})
-		split = append(split, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			d := mk()
-			for i := 0; i < 1024; i++ {
-				d.enq(i)
-			}
-			ops := cfg.ops(200000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
-				if w%2 == 0 {
-					return func(i int) { d.enq(i) }
-				}
-				return func(int) { d.deq() }
-			})
-			res.Gauges = d.gauges()
-			return res
+			return runWorkload(cfg, row, catalog.Options{}, wl, fullThreads(), Run)
 		}})
 	}
-	return mixed, split
-}
-
-// runA5 sweeps the LCRQ's segment size on the symmetric 50/50 mix, with
-// queue.MS and the 64k MPMC ring re-measured at every X as flat baselines
-// (neither takes a segment-size parameter; re-measuring keeps their noise
-// floor honest rather than drawing a single stale line). The sweep brackets
-// the default: 64 retires segments fast enough to stress the reclaim path,
-// 1024 amortises allocation hardest but strands more slots on residual
-// queues.
-func runA5(cfg Config) []Figure {
-	ops := cfg.ops(200000)
-	th := runtime.GOMAXPROCS(0)
-	fig := Figure{
-		ID:     "A5",
-		Family: "queue-segmented",
-		Title:  fmt.Sprintf("LCRQ segment-size sweep at %d threads, 50/50 enq-deq (MS and MPMC-64k as baselines)", th),
-		XLabel: "segsize",
-	}
-	impls := []struct {
-		label string
-		mk    func(segSize int) segDriver
-	}{
-		{"MS", func(int) segDriver { return msSegDriver() }},
-		{"LCRQ", func(segSize int) segDriver { return lcrqSegDriver(queue.WithSegmentSize(segSize)) }},
-		{"MPMC-64k", func(int) segDriver { return mpmcSegDriver() }},
-	}
-	for _, im := range impls {
-		var s Series
-		s.Label = im.label
-		for _, segSize := range []int{64, 256, 1024} {
-			d := im.mk(segSize)
-			for i := 0; i < 1024; i++ {
-				d.enq(i)
-			}
-			res := Run(th, ops/th+1, func(w int) func(int) {
-				mix := NewMixGen(uint64(w)*7919+101, 50, 50)
-				return func(i int) {
-					if mix.Next() == 0 {
-						d.enq(i)
-					} else {
-						d.deq()
-					}
-				}
-			})
-			s.Points = append(s.Points, Point{X: segSize, Mops: res.Throughput()})
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return []Figure{fig}
+	return s
 }

@@ -1,681 +1,58 @@
-// Top-level testing.B benchmarks: one bench family per experiment in
-// DESIGN.md, sized for `go test -bench`. These give quick single-machine
-// numbers at GOMAXPROCS parallelism; the full thread sweeps behind each
-// figure are produced by cmd/cdsbench (same workloads, same code paths via
-// package bench).
+// Top-level testing.B benchmarks: one entry point per figure and table of
+// the experiment index (bench.Experiments), sized for `go test -bench`.
+// Each sub-benchmark is one row of the experiment — the same cell, built by
+// the same code, that cmd/cdsbench sweeps over thread counts — measured
+// once at the top of its sweep (GOMAXPROCS workers for the thread-swept
+// figures) with b.N operations.
 package cds_test
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"testing"
 
-	cds "github.com/cds-suite/cds"
-	"github.com/cds-suite/cds/barrier"
 	"github.com/cds-suite/cds/bench"
-	"github.com/cds-suite/cds/cmap"
-	"github.com/cds-suite/cds/counter"
-	"github.com/cds-suite/cds/deque"
-	"github.com/cds-suite/cds/fc"
-	"github.com/cds-suite/cds/internal/epoch"
-	"github.com/cds-suite/cds/internal/hazard"
-	"github.com/cds-suite/cds/internal/xrand"
-	"github.com/cds-suite/cds/list"
-	"github.com/cds-suite/cds/locks"
-	"github.com/cds-suite/cds/pqueue"
-	"github.com/cds-suite/cds/queue"
-	"github.com/cds-suite/cds/skiplist"
-	"github.com/cds-suite/cds/stack"
-	"github.com/cds-suite/cds/stm"
 )
 
-// perG returns a per-goroutine PRNG for RunParallel bodies.
-var benchSeed atomic.Uint64
-
-func perG() *xrand.Rand {
-	return xrand.New(benchSeed.Add(0x9e3779b97f4a7c15))
-}
-
-// BenchmarkF1Locks measures lock+increment+unlock under full contention.
-func BenchmarkF1Locks(b *testing.B) {
-	run := func(b *testing.B, factory func() sync.Locker) {
-		shared := 0
-		b.RunParallel(func(pb *testing.PB) {
-			locker := factory()
-			for pb.Next() {
-				locker.Lock()
-				shared++
-				locker.Unlock()
-			}
-		})
+// figure runs every row of experiment id as a sub-benchmark. ns/op is the
+// harness's own measured region, so prefill and goroutine start-up are
+// excluded just as they are in cdsbench.
+func figure(b *testing.B, id string) {
+	e, ok := bench.Find(id)
+	if !ok {
+		b.Fatalf("no experiment %s", id)
 	}
-	b.Run("sync.Mutex", func(b *testing.B) {
-		mu := &sync.Mutex{}
-		run(b, func() sync.Locker { return mu })
-	})
-	b.Run("TAS", func(b *testing.B) {
-		l := &locks.TASLock{}
-		run(b, func() sync.Locker { return l })
-	})
-	b.Run("TTAS", func(b *testing.B) {
-		l := &locks.TTASLock{}
-		run(b, func() sync.Locker { return l })
-	})
-	b.Run("Backoff", func(b *testing.B) {
-		l := &locks.BackoffLock{}
-		run(b, func() sync.Locker { return l })
-	})
-	b.Run("Ticket", func(b *testing.B) {
-		l := &locks.TicketLock{}
-		run(b, func() sync.Locker { return l })
-	})
-	b.Run("MCS", func(b *testing.B) {
-		l := &locks.MCSLock{}
-		run(b, func() sync.Locker { return l.Locker() })
-	})
-	b.Run("CLH", func(b *testing.B) {
-		l := &locks.CLHLock{}
-		run(b, func() sync.Locker { return l.Locker() })
-	})
-}
-
-// BenchmarkF2Counters measures pure increment throughput.
-func BenchmarkF2Counters(b *testing.B) {
-	b.Run("Locked", func(b *testing.B) {
-		c := &counter.Locked{}
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Inc()
+	scenarios := e.Scenarios()
+	for _, s := range scenarios {
+		for _, a := range s.Algos {
+			name := a.Label
+			if len(scenarios) > 1 {
+				name = strings.TrimPrefix(s.Name, id+": ") + "/" + a.Label
 			}
-		})
-	})
-	b.Run("Atomic", func(b *testing.B) {
-		c := &counter.Atomic{}
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Inc()
-			}
-		})
-	})
-	b.Run("Sharded", func(b *testing.B) {
-		c := counter.NewSharded(0)
-		b.RunParallel(func(pb *testing.PB) {
-			h := c.Handle()
-			for pb.Next() {
-				h.Inc()
-			}
-		})
-	})
-	b.Run("Approx", func(b *testing.B) {
-		c := counter.NewApprox(0, 64)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				c.Inc()
-			}
-		})
-	})
-	b.Run("CombiningTree", func(b *testing.B) {
-		c := counter.NewCombiningTree(runtime.GOMAXPROCS(0))
-		var slot atomic.Int64
-		b.RunParallel(func(pb *testing.PB) {
-			h := c.Handle(int(slot.Add(1)-1) % runtime.GOMAXPROCS(0))
-			for pb.Next() {
-				h.Inc()
-			}
-		})
-	})
-}
-
-// BenchmarkF3Stacks measures 50/50 push-pop mixes.
-func BenchmarkF3Stacks(b *testing.B) {
-	impls := map[string]func() cds.Stack[int]{
-		"Mutex":       func() cds.Stack[int] { return stack.NewMutex[int]() },
-		"Treiber":     func() cds.Stack[int] { return stack.NewTreiber[int]() },
-		"Elimination": func() cds.Stack[int] { return stack.NewElimination[int](0, 0) },
-		"FC":          func() cds.Stack[int] { return fc.NewStack[int]() },
-	}
-	for _, name := range []string{"Mutex", "Treiber", "Elimination", "FC"} {
-		mk := impls[name]
-		b.Run(name, func(b *testing.B) {
-			s := mk()
-			for i := 0; i < 1024; i++ {
-				s.Push(i)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := perG()
-				for pb.Next() {
-					if rng.Uint64()&1 == 0 {
-						s.Push(7)
-					} else {
-						s.TryPop()
-					}
+			b.Run(name, func(b *testing.B) {
+				cfg := bench.Config{Ops: b.N}
+				sweep := s.Sweep(cfg)
+				res := a.Run(cfg, sweep[len(sweep)-1])
+				b.ReportMetric(res.NsPerOp(), "ns/op")
+				if a.Percent {
+					b.ReportMetric(res.Percent, "hit-%")
 				}
 			})
-		})
-	}
-}
-
-// BenchmarkF4Queues measures 50/50 enqueue-dequeue mixes.
-func BenchmarkF4Queues(b *testing.B) {
-	impls := map[string]func() cds.Queue[int]{
-		"Mutex":   func() cds.Queue[int] { return queue.NewMutex[int]() },
-		"TwoLock": func() cds.Queue[int] { return queue.NewTwoLock[int]() },
-		"MS":      func() cds.Queue[int] { return queue.NewMS[int]() },
-		"FC":      func() cds.Queue[int] { return fc.NewQueue[int]() },
-	}
-	for _, name := range []string{"Mutex", "TwoLock", "MS", "FC"} {
-		mk := impls[name]
-		b.Run(name, func(b *testing.B) {
-			q := mk()
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := perG()
-				for pb.Next() {
-					if rng.Uint64()&1 == 0 {
-						q.Enqueue(7)
-					} else {
-						q.TryDequeue()
-					}
-				}
-			})
-		})
-	}
-	b.Run("MPMC-64k", func(b *testing.B) {
-		q := queue.NewMPMC[int](1 << 16)
-		for i := 0; i < 1024; i++ {
-			q.TryEnqueue(i)
-		}
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := perG()
-			for pb.Next() {
-				if rng.Uint64()&1 == 0 {
-					q.TryEnqueue(7)
-				} else {
-					q.TryDequeue()
-				}
-			}
-		})
-	})
-	b.Run("SPSC", func(b *testing.B) {
-		// Single producer/consumer pair: the wait-free fast path.
-		q := queue.NewSPSC[int](1 << 10)
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < b.N; i++ {
-				for !q.TryEnqueue(i) {
-					runtime.Gosched()
-				}
-			}
-		}()
-		for i := 0; i < b.N; i++ {
-			for {
-				if _, ok := q.TryDequeue(); ok {
-					break
-				}
-				runtime.Gosched()
-			}
-		}
-		<-done
-	})
-}
-
-// BenchmarkF5ListSets measures the synchronization progression at 90% reads.
-func BenchmarkF5ListSets(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() cds.Set[int]
-	}{
-		{name: "Coarse", mk: func() cds.Set[int] { return list.NewCoarse[int]() }},
-		{name: "Fine", mk: func() cds.Set[int] { return list.NewFine[int]() }},
-		{name: "Optimistic", mk: func() cds.Set[int] { return list.NewOptimistic[int]() }},
-		{name: "Lazy", mk: func() cds.Set[int] { return list.NewLazy[int]() }},
-		{name: "Harris", mk: func() cds.Set[int] { return list.NewHarris[int]() }},
-	}
-	const keyRange = 1024
-	for _, im := range impls {
-		b.Run(im.name, func(b *testing.B) {
-			s := im.mk()
-			pre := xrand.New(99)
-			for i := 0; i < keyRange/2; i++ {
-				s.Add(pre.Intn(keyRange))
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := perG()
-				for pb.Next() {
-					k := rng.Intn(keyRange)
-					r := rng.Uint64n(100)
-					switch {
-					case r < 90:
-						s.Contains(k)
-					case r < 95:
-						s.Add(k)
-					default:
-						s.Remove(k)
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkF6Maps measures hash maps at 90% reads, uniform and Zipfian.
-func BenchmarkF6Maps(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() cds.Map[int, int]
-	}{
-		{name: "Locked", mk: func() cds.Map[int, int] { return cmap.NewLocked[int, int]() }},
-		{name: "Striped", mk: func() cds.Map[int, int] { return cmap.NewStriped[int, int](64) }},
-		{name: "SplitOrdered", mk: func() cds.Map[int, int] { return cmap.NewSplitOrdered[int, int]() }},
-	}
-	const keyRange = 1 << 16
-	for _, dist := range []struct {
-		name  string
-		theta float64
-	}{{name: "uniform", theta: 0}, {name: "zipf", theta: 0.99}} {
-		for _, im := range impls {
-			b.Run(im.name+"/"+dist.name, func(b *testing.B) {
-				m := im.mk()
-				pre := xrand.New(7)
-				for i := 0; i < keyRange/2; i++ {
-					m.Store(pre.Intn(keyRange), i)
-				}
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					rng := perG()
-					keys := mustKeyStream(keyRange, dist.theta)
-					for pb.Next() {
-						k := int(keys.Next())
-						r := rng.Uint64n(100)
-						switch {
-						case r < 90:
-							m.Load(k)
-						case r < 95:
-							m.Store(k, 42)
-						default:
-							m.Delete(k)
-						}
-					}
-				})
-			})
 		}
 	}
 }
 
-// BenchmarkF7SkipLists measures skip lists at 90% reads.
-func BenchmarkF7SkipLists(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() cds.Set[int]
-	}{
-		{name: "Lazy", mk: func() cds.Set[int] { return skiplist.NewLazy[int]() }},
-		{name: "LockFree", mk: func() cds.Set[int] { return skiplist.NewLockFree[int]() }},
-	}
-	const keyRange = 1 << 16
-	for _, im := range impls {
-		b.Run(im.name, func(b *testing.B) {
-			s := im.mk()
-			pre := xrand.New(3)
-			for i := 0; i < keyRange/2; i++ {
-				s.Add(pre.Intn(keyRange))
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := perG()
-				for pb.Next() {
-					k := rng.Intn(keyRange)
-					r := rng.Uint64n(100)
-					switch {
-					case r < 90:
-						s.Contains(k)
-					case r < 95:
-						s.Add(k)
-					default:
-						s.Remove(k)
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkF8PriorityQueues measures 50/50 insert-deleteMin.
-func BenchmarkF8PriorityQueues(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() cds.PriorityQueue[int]
-	}{
-		{name: "LockedHeap", mk: func() cds.PriorityQueue[int] {
-			return pqueue.NewHeap[int](func(a, b int) bool { return a < b })
-		}},
-		{name: "SkipListPQ", mk: func() cds.PriorityQueue[int] { return pqueue.NewSkipList[int]() }},
-	}
-	for _, im := range impls {
-		b.Run(im.name, func(b *testing.B) {
-			pq := im.mk()
-			pre := xrand.New(11)
-			for i := 0; i < 4096; i++ {
-				pq.Insert(pre.Intn(1 << 20))
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := perG()
-				for pb.Next() {
-					if rng.Uint64()&1 == 0 {
-						pq.Insert(rng.Intn(1 << 20))
-					} else {
-						pq.TryDeleteMin()
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkF9Deque measures owner push/pop with GOMAXPROCS-1 stealers.
-func BenchmarkF9Deque(b *testing.B) {
-	impls := []struct {
-		name string
-		mk   func() cds.Deque[int]
-	}{
-		{name: "ChaseLev", mk: func() cds.Deque[int] { return deque.NewChaseLev[int](1024) }},
-		{name: "MutexDeque", mk: func() cds.Deque[int] { return deque.NewMutex[int]() }},
-	}
-	for _, im := range impls {
-		b.Run(im.name, func(b *testing.B) {
-			d := im.mk()
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for t := 0; t < runtime.GOMAXPROCS(0)-1; t++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for !stop.Load() {
-						d.TryPopTop()
-					}
-				}()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				d.PushBottom(i)
-				d.TryPopBottom()
-			}
-			b.StopTimer()
-			stop.Store(true)
-			wg.Wait()
-		})
-	}
-}
-
-// BenchmarkF10Barriers measures one barrier episode across GOMAXPROCS
-// parties (reported per-episode).
-func BenchmarkF10Barriers(b *testing.B) {
-	n := runtime.GOMAXPROCS(0)
-	runBarrier := func(b *testing.B, handles []interface{ Wait() }) {
-		var wg sync.WaitGroup
-		b.ResetTimer()
-		for p := 0; p < n; p++ {
-			wg.Add(1)
-			go func(h interface{ Wait() }) {
-				defer wg.Done()
-				for i := 0; i < b.N; i++ {
-					h.Wait()
-				}
-			}(handles[p])
-		}
-		wg.Wait()
-	}
-	b.Run("Sense", func(b *testing.B) {
-		bar := barrier.NewSense(n)
-		hs := make([]interface{ Wait() }, n)
-		for i := range hs {
-			hs[i] = bar.Handle()
-		}
-		runBarrier(b, hs)
-	})
-	b.Run("Tree", func(b *testing.B) {
-		bar := barrier.NewTree(n)
-		hs := make([]interface{ Wait() }, n)
-		for i := range hs {
-			hs[i] = bar.Handle()
-		}
-		runBarrier(b, hs)
-	})
-	b.Run("Dissemination", func(b *testing.B) {
-		bar := barrier.NewDissemination(n)
-		hs := make([]interface{ Wait() }, n)
-		for i := range hs {
-			hs[i] = bar.Handle()
-		}
-		runBarrier(b, hs)
-	})
-}
-
-// BenchmarkF11STM measures bank transfers against a global-lock baseline.
-func BenchmarkF11STM(b *testing.B) {
-	const accounts = 1 << 14
-	b.Run("STM", func(b *testing.B) {
-		vars := make([]*stm.TVar[int], accounts)
-		for i := range vars {
-			vars[i] = stm.NewTVar(1000)
-		}
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := perG()
-			for pb.Next() {
-				from, to := rng.Intn(accounts), rng.Intn(accounts)
-				if from == to {
-					to = (to + 1) % accounts
-				}
-				stm.Atomically(func(tx *stm.Txn) {
-					f := vars[from].Read(tx)
-					vars[from].Write(tx, f-1)
-					vars[to].Write(tx, vars[to].Read(tx)+1)
-				})
-			}
-		})
-	})
-	b.Run("GlobalLock", func(b *testing.B) {
-		balances := make([]int, accounts)
-		var mu sync.Mutex
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			rng := perG()
-			for pb.Next() {
-				from, to := rng.Intn(accounts), rng.Intn(accounts)
-				if from == to {
-					to = (to + 1) % accounts
-				}
-				mu.Lock()
-				balances[from]--
-				balances[to]++
-				mu.Unlock()
-			}
-		})
-	})
-}
-
-// BenchmarkF12Reclamation measures protected reads with 10% retire traffic.
-func BenchmarkF12Reclamation(b *testing.B) {
-	type node struct{ v int }
-	b.Run("EBR", func(b *testing.B) {
-		c := epoch.NewCollector()
-		var shared atomic.Pointer[node]
-		shared.Store(&node{})
-		b.RunParallel(func(pb *testing.PB) {
-			p := c.Register()
-			rng := perG()
-			for pb.Next() {
-				if rng.Uint64n(10) == 0 {
-					old := shared.Swap(&node{})
-					p.Retire(func() { _ = old })
-				} else {
-					p.Pin()
-					_ = shared.Load()
-					p.Unpin()
-				}
-			}
-		})
-	})
-	b.Run("HazardPtr", func(b *testing.B) {
-		d := hazard.NewDomain()
-		var shared atomic.Pointer[node]
-		shared.Store(&node{})
-		b.RunParallel(func(pb *testing.PB) {
-			h := d.NewHandle(1)
-			rng := perG()
-			for pb.Next() {
-				if rng.Uint64n(10) == 0 {
-					old := shared.Swap(&node{})
-					h.Retire(old, func() { _ = old })
-				} else {
-					hazard.Protect(h.Slot(0), &shared)
-					h.Slot(0).Clear()
-				}
-			}
-		})
-	})
-}
-
-// BenchmarkT1SingleThread measures single-thread pair costs (push+pop,
-// store+load) for the T1 overview table.
-func BenchmarkT1SingleThread(b *testing.B) {
-	b.Run("stack.Mutex", func(b *testing.B) {
-		s := stack.NewMutex[int]()
-		for i := 0; i < b.N; i++ {
-			s.Push(i)
-			s.TryPop()
-		}
-	})
-	b.Run("stack.Treiber", func(b *testing.B) {
-		s := stack.NewTreiber[int]()
-		for i := 0; i < b.N; i++ {
-			s.Push(i)
-			s.TryPop()
-		}
-	})
-	b.Run("queue.Mutex", func(b *testing.B) {
-		q := queue.NewMutex[int]()
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(i)
-			q.TryDequeue()
-		}
-	})
-	b.Run("queue.MS", func(b *testing.B) {
-		q := queue.NewMS[int]()
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(i)
-			q.TryDequeue()
-		}
-	})
-	b.Run("queue.SPSC", func(b *testing.B) {
-		q := queue.NewSPSC[int](1024)
-		for i := 0; i < b.N; i++ {
-			q.TryEnqueue(i)
-			q.TryDequeue()
-		}
-	})
-	b.Run("cmap.Locked", func(b *testing.B) {
-		m := cmap.NewLocked[int, int]()
-		for i := 0; i < b.N; i++ {
-			m.Store(i&1023, i)
-			m.Load(i & 1023)
-		}
-	})
-	b.Run("cmap.Striped", func(b *testing.B) {
-		m := cmap.NewStriped[int, int](64)
-		for i := 0; i < b.N; i++ {
-			m.Store(i&1023, i)
-			m.Load(i & 1023)
-		}
-	})
-	b.Run("cmap.SplitOrdered", func(b *testing.B) {
-		m := cmap.NewSplitOrdered[int, int]()
-		for i := 0; i < b.N; i++ {
-			m.Store(i&1023, i)
-			m.Load(i & 1023)
-		}
-	})
-	b.Run("skiplist.Lazy", func(b *testing.B) {
-		s := skiplist.NewLazy[int]()
-		for i := 0; i < b.N; i++ {
-			s.Add(i & 4095)
-			s.Contains(i & 4095)
-		}
-	})
-	b.Run("skiplist.LockFree", func(b *testing.B) {
-		s := skiplist.NewLockFree[int]()
-		for i := 0; i < b.N; i++ {
-			s.Add(i & 4095)
-			s.Contains(i & 4095)
-		}
-	})
-}
-
-// BenchmarkT2Skew measures the striped map under increasing Zipf skew.
-func BenchmarkT2Skew(b *testing.B) {
-	const keyRange = 1 << 16
-	for _, theta := range []float64{0, 0.9} {
-		name := "uniform"
-		if theta > 0 {
-			name = "zipf0.9"
-		}
-		b.Run("Striped/"+name, func(b *testing.B) {
-			m := cmap.NewStriped[int, int](64)
-			pre := xrand.New(7)
-			for i := 0; i < keyRange/2; i++ {
-				m.Store(pre.Intn(keyRange), i)
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				keys := mustKeyStream(keyRange, theta)
-				rng := perG()
-				for pb.Next() {
-					k := int(keys.Next())
-					if rng.Uint64()&1 == 0 {
-						m.Load(k)
-					} else {
-						m.Store(k, 1)
-					}
-				}
-			})
-		})
-	}
-}
-
-// BenchmarkT3Elimination reports elimination visits via the stats hook (the
-// rate itself is printed by cmd/cdsbench -experiment T3).
-func BenchmarkT3Elimination(b *testing.B) {
-	s := stack.NewElimination[int](0, 0)
-	s.EnableStats(true)
-	b.RunParallel(func(pb *testing.PB) {
-		rng := perG()
-		for pb.Next() {
-			if rng.Uint64()&1 == 0 {
-				s.Push(1)
-			} else {
-				s.TryPop()
-			}
-		}
-	})
-	hits, misses := s.Stats()
-	if hits+misses > 0 {
-		b.ReportMetric(100*float64(hits)/float64(hits+misses), "elim-hit-%")
-	}
-}
-
-func mustKeyStream(keyRange int, theta float64) *bench.KeyStream {
-	ks, err := bench.NewKeyStream(uint64(keyRange), theta, benchSeed.Add(1))
-	if err != nil {
-		panic(err)
-	}
-	return ks
-}
+func BenchmarkF1Locks(b *testing.B)          { figure(b, "F1") }
+func BenchmarkF2Counters(b *testing.B)       { figure(b, "F2") }
+func BenchmarkF3Stacks(b *testing.B)         { figure(b, "F3") }
+func BenchmarkF4Queues(b *testing.B)         { figure(b, "F4") }
+func BenchmarkF5ListSets(b *testing.B)       { figure(b, "F5") }
+func BenchmarkF6Maps(b *testing.B)           { figure(b, "F6") }
+func BenchmarkF7SkipLists(b *testing.B)      { figure(b, "F7") }
+func BenchmarkF8PriorityQueues(b *testing.B) { figure(b, "F8") }
+func BenchmarkF9Deque(b *testing.B)          { figure(b, "F9") }
+func BenchmarkF10Barriers(b *testing.B)      { figure(b, "F10") }
+func BenchmarkF11STM(b *testing.B)           { figure(b, "F11") }
+func BenchmarkF12Reclamation(b *testing.B)   { figure(b, "F12") }
+func BenchmarkT1SingleThread(b *testing.B)   { figure(b, "T1") }
+func BenchmarkT2Skew(b *testing.B)           { figure(b, "T2") }
+func BenchmarkT3Elimination(b *testing.B)    { figure(b, "T3") }

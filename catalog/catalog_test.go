@@ -1,0 +1,103 @@
+package catalog
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// excluded lists the exported New* constructors of the shape-bearing
+// packages that deliberately have no row, each with the reason.
+var excluded = map[string]string{
+	"cmap.NewHash":  "builds a hash function, not a map",
+	"queue.NewSPSC": "role-restricted to one producer and one consumer; no multi-client window or cell can drive it (T1 prices it single-threaded)",
+}
+
+// TestEveryConstructorIsRegistered parses the family packages for exported
+// New* constructors and tables.go for the constructors the rows call: a
+// variant cannot be added to a family without a row here or a reasoned
+// exclusion above.
+func TestEveryConstructorIsRegistered(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	tables, err := parser.ParseFile(fset, "tables.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Inspect(tables, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && strings.HasPrefix(sel.Sel.Name, "New") {
+			if pkg, ok := sel.X.(*ast.Ident); ok {
+				used[pkg.Name+"."+sel.Sel.Name] = true
+			}
+		}
+		return true
+	})
+
+	declared := map[string]bool{}
+	for _, pkg := range []string{"stack", "queue", "list", "cmap", "skiplist", "pqueue", "deque", "counter", "fc"} {
+		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("package %s: no sources (%v)", pkg, err)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "New") {
+					declared[pkg+"."+fn.Name.Name] = true
+				}
+			}
+		}
+	}
+	for ctor := range declared {
+		switch reason, skip := excluded[ctor]; {
+		case used[ctor] && skip:
+			t.Errorf("%s has a row and an exclusion (%s)", ctor, reason)
+		case !used[ctor] && !skip:
+			t.Errorf("%s is in no catalogue row and not in the exclusion list", ctor)
+		}
+	}
+	for ctor := range excluded {
+		if !declared[ctor] {
+			t.Errorf("exclusion %s names no constructor", ctor)
+		}
+	}
+}
+
+// TestRowsAreWellFormed checks what the harness loops assume of every row.
+func TestRowsAreWellFormed(t *testing.T) {
+	seen := map[string]bool{}
+	for _, r := range Rows() {
+		name := r.Family + "/" + r.Label
+		if seen[name] {
+			t.Errorf("%s: duplicate row", name)
+		}
+		seen[name] = true
+		if r.Progress == "" {
+			t.Errorf("%s: no progress guarantee", name)
+		}
+		for _, o := range r.Options() {
+			s, dom := r.New(o)
+			if s == nil || dom == nil {
+				t.Fatalf("%s%s: New returned nil", name, o.Suffix())
+			}
+			if (o.Scheme != GC) != dom.Deferred() {
+				t.Errorf("%s%s: domain %s does not match the scheme", name, o.Suffix(), dom.Name())
+			}
+			r.Worker(s, 0)(0, 1) // the inserting operation runs
+		}
+	}
+	for _, wl := range Workloads() {
+		if len(Select(wl.Family, wl.Group)) == 0 {
+			t.Errorf("workload %q matches no row", wl.Name)
+		}
+	}
+}

@@ -1,6 +1,6 @@
-// Command cdsbench regenerates the experiment figures and tables from
-// DESIGN.md — throughput-scalability series for every structure family
-// (F1–F12, T1–T3) plus the mixed-workload scenario matrix with latency
+// Command cdsbench regenerates the experiment figures and tables indexed
+// by bench.Experiments — throughput-scalability series for every structure
+// family (F1–F12, T1–T3) plus the mixed-workload scenario matrix with latency
 // percentiles (S1–S18, including the S14 reclamation, S15 blocking, S16
 // executor, S17 cache, and S18 segmented-queue families whose records
 // carry structure gauges) — as aligned text tables or as a machine-readable
@@ -18,7 +18,9 @@
 //
 // The JSON report embeds the Go version, GOMAXPROCS, and the git revision,
 // so checked-in BENCH_*.json files are diffable across commits: the perf
-// trajectory of the repository is the series of these files.
+// trajectory of the repository is the series of these files. Every JSON
+// report is checked with bench.ValidateReport after it is written; a gauge
+// invariant that does not hold makes the run exit non-zero.
 package main
 
 import (
@@ -111,7 +113,11 @@ func run(args []string) error {
 		// Echo the hardware framing to stderr so a redirected run still
 		// shows the reader what the numbers can and cannot claim.
 		fmt.Fprintln(os.Stderr, "cdsbench:", rep.Summary)
-		return rep.WriteJSON(w)
+		if err := rep.WriteJSON(w); err != nil {
+			return err
+		}
+		// The report is written first so a violation can be inspected.
+		return bench.ValidateReport(rep)
 	}
 	for _, e := range selected {
 		fmt.Fprintf(w, "# %s — %s\n", e.ID, e.Title)

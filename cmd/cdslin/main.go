@@ -1,233 +1,83 @@
 // Command cdslin stress-tests the linearizability of the module's
 // structures: it records many small concurrent histories from live
 // structures and checks each against the sequential model, reporting any
-// counterexample it finds.
+// counterexample it finds. Its targets are the catalogue's: every
+// linearizable variant under every option point it accepts (reclamation
+// domain × recycling, combining backend), named family/label+options.
 //
 // Usage:
 //
-//	cdslin                         # all structures, default windows
-//	cdslin -structure treiber      # one structure
-//	cdslin -rounds 500 -clients 4  # heavier search
-//	cdslin -list                   # list structure names
+//	cdslin                               # all targets, default windows
+//	cdslin -structure stack/Treiber+HP   # one target
+//	cdslin -rounds 500 -clients 4        # heavier search
+//	cdslin -list                         # list target names
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
-	"sync"
+	"runtime"
 
-	cds "github.com/cds-suite/cds"
-	"github.com/cds-suite/cds/cmap"
+	"github.com/cds-suite/cds/catalog"
 	"github.com/cds-suite/cds/internal/xrand"
 	"github.com/cds-suite/cds/lincheck"
-	"github.com/cds-suite/cds/list"
-	"github.com/cds-suite/cds/queue"
-	"github.com/cds-suite/cds/skiplist"
-	"github.com/cds-suite/cds/stack"
 )
 
-type target struct {
-	name  string
-	model lincheck.Model
-	ops   func(rng *xrand.Rand, rec *lincheck.Recorder, client, opsPer int)
-}
-
-func targets() map[string]func() target {
-	stackTarget := func(name string, mk func() cds.Stack[int]) func() target {
-		return func() target {
-			s := mk()
-			return target{
-				name:  name,
-				model: lincheck.StackModel(),
-				ops: func(rng *xrand.Rand, rec *lincheck.Recorder, client, opsPer int) {
-					for i := 0; i < opsPer; i++ {
-						if rng.Intn(2) == 0 {
-							v := rng.Intn(4)
-							p := rec.Begin(client, lincheck.StackPush{Value: v})
-							s.Push(v)
-							p.End(nil)
-						} else {
-							p := rec.Begin(client, lincheck.StackPop{})
-							v, ok := s.TryPop()
-							p.End(lincheck.ValueOK{Value: v, OK: ok})
-						}
-					}
-				},
-			}
-		}
-	}
-	queueTarget := func(name string, mk func() cds.Queue[int]) func() target {
-		return func() target {
-			q := mk()
-			return target{
-				name:  name,
-				model: lincheck.QueueModel(),
-				ops: func(rng *xrand.Rand, rec *lincheck.Recorder, client, opsPer int) {
-					for i := 0; i < opsPer; i++ {
-						if rng.Intn(2) == 0 {
-							v := rng.Intn(4)
-							p := rec.Begin(client, lincheck.QueueEnqueue{Value: v})
-							q.Enqueue(v)
-							p.End(nil)
-						} else {
-							p := rec.Begin(client, lincheck.QueueDequeue{})
-							v, ok := q.TryDequeue()
-							p.End(lincheck.ValueOK{Value: v, OK: ok})
-						}
-					}
-				},
-			}
-		}
-	}
-	setTarget := func(name string, mk func() cds.Set[int]) func() target {
-		return func() target {
-			s := mk()
-			return target{
-				name:  name,
-				model: lincheck.SetModel(),
-				ops: func(rng *xrand.Rand, rec *lincheck.Recorder, client, opsPer int) {
-					for i := 0; i < opsPer; i++ {
-						k := rng.Intn(3)
-						switch rng.Intn(3) {
-						case 0:
-							p := rec.Begin(client, lincheck.SetAdd{Key: k})
-							p.End(s.Add(k))
-						case 1:
-							p := rec.Begin(client, lincheck.SetRemove{Key: k})
-							p.End(s.Remove(k))
-						default:
-							p := rec.Begin(client, lincheck.SetContains{Key: k})
-							p.End(s.Contains(k))
-						}
-					}
-				},
-			}
-		}
-	}
-	mapTarget := func(name string, mk func() cds.Map[int, int]) func() target {
-		return func() target {
-			m := mk()
-			return target{
-				name:  name,
-				model: lincheck.MapModel(),
-				ops: func(rng *xrand.Rand, rec *lincheck.Recorder, client, opsPer int) {
-					for i := 0; i < opsPer; i++ {
-						k := rng.Intn(3)
-						switch rng.Intn(3) {
-						case 0:
-							v := rng.Intn(4)
-							p := rec.Begin(client, lincheck.MapStore{Key: k, Value: v})
-							m.Store(k, v)
-							p.End(nil)
-						case 1:
-							p := rec.Begin(client, lincheck.MapLoad{Key: k})
-							v, ok := m.Load(k)
-							p.End(lincheck.ValueOK{Value: v, OK: ok})
-						default:
-							p := rec.Begin(client, lincheck.MapDelete{Key: k})
-							p.End(m.Delete(k))
-						}
-					}
-				},
-			}
-		}
-	}
-
-	return map[string]func() target{
-		"stack-mutex":       stackTarget("stack-mutex", func() cds.Stack[int] { return stack.NewMutex[int]() }),
-		"treiber":           stackTarget("treiber", func() cds.Stack[int] { return stack.NewTreiber[int]() }),
-		"elimination":       stackTarget("elimination", func() cds.Stack[int] { return stack.NewElimination[int](2, 16) }),
-		"queue-mutex":       queueTarget("queue-mutex", func() cds.Queue[int] { return queue.NewMutex[int]() }),
-		"twolock":           queueTarget("twolock", func() cds.Queue[int] { return queue.NewTwoLock[int]() }),
-		"msqueue":           queueTarget("msqueue", func() cds.Queue[int] { return queue.NewMS[int]() }),
-		"list-coarse":       setTarget("list-coarse", func() cds.Set[int] { return list.NewCoarse[int]() }),
-		"list-fine":         setTarget("list-fine", func() cds.Set[int] { return list.NewFine[int]() }),
-		"list-optimistic":   setTarget("list-optimistic", func() cds.Set[int] { return list.NewOptimistic[int]() }),
-		"list-lazy":         setTarget("list-lazy", func() cds.Set[int] { return list.NewLazy[int]() }),
-		"harris":            setTarget("harris", func() cds.Set[int] { return list.NewHarris[int]() }),
-		"skiplist-lazy":     setTarget("skiplist-lazy", func() cds.Set[int] { return skiplist.NewLazy[int]() }),
-		"skiplist-lockfree": setTarget("skiplist-lockfree", func() cds.Set[int] { return skiplist.NewLockFree[int]() }),
-		"map-locked":        mapTarget("map-locked", func() cds.Map[int, int] { return cmap.NewLocked[int, int]() }),
-		"map-striped":       mapTarget("map-striped", func() cds.Map[int, int] { return cmap.NewStriped[int, int](8) }),
-		"splitordered":      mapTarget("splitordered", func() cds.Map[int, int] { return cmap.NewSplitOrdered[int, int]() }),
-	}
-}
-
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "cdslin:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cdslin", flag.ContinueOnError)
 	var (
-		structure = fs.String("structure", "", "structure to check (empty = all)")
-		rounds    = fs.Int("rounds", 200, "history windows per structure")
+		structure = fs.String("structure", "", "target to check (empty = all)")
+		rounds    = fs.Int("rounds", 200, "history windows per target")
 		clients   = fs.Int("clients", 3, "concurrent clients per window")
 		opsPer    = fs.Int("ops", 4, "operations per client per window")
-		listOnly  = fs.Bool("list", false, "list structures and exit")
+		listOnly  = fs.Bool("list", false, "list targets and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	all := targets()
+	targets := catalog.Targets()
 	if *listOnly {
-		names := make([]string, 0, len(all))
-		for name := range all {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Println(name)
+		for _, tg := range targets {
+			fmt.Fprintln(out, tg.Name)
 		}
 		return nil
 	}
-
-	names := make([]string, 0, len(all))
 	if *structure != "" {
-		if _, ok := all[*structure]; !ok {
+		var one []catalog.Target
+		for _, tg := range targets {
+			if tg.Name == *structure {
+				one = append(one, tg)
+			}
+		}
+		if one == nil {
 			return fmt.Errorf("unknown structure %q (try -list)", *structure)
 		}
-		names = append(names, *structure)
-	} else {
-		for name := range all {
-			names = append(names, name)
-		}
-		sort.Strings(names)
+		targets = one
 	}
 
-	for _, name := range names {
-		mk := all[name]
-		if err := checkStructure(mk, *rounds, *clients, *opsPer); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Printf("%-20s ok (%d windows × %d clients × %d ops)\n", name, *rounds, *clients, *opsPer)
+	// Windows only mean something when the clients genuinely interleave.
+	if prev := runtime.GOMAXPROCS(0); prev < 4 {
+		runtime.GOMAXPROCS(4)
+		defer runtime.GOMAXPROCS(prev)
 	}
-	return nil
-}
-
-func checkStructure(mk func() target, rounds, clients, opsPer int) error {
-	for round := 0; round < rounds; round++ {
-		tgt := mk() // fresh structure per window
-		rec := lincheck.NewRecorder(clients)
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				rng := xrand.New(uint64(round*clients+c) + 1)
-				tgt.ops(rng, rec, c, opsPer)
-			}(c)
+	for _, tg := range targets {
+		err := lincheck.Stress(tg.Model, *rounds, *clients, func() func(int, *xrand.Rand, *lincheck.Recorder) {
+			return tg.Window(*clients, *opsPer)
+		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", tg.Name, err)
 		}
-		wg.Wait()
-		if res := lincheck.Check(tgt.model, rec.History()); !res.Ok {
-			return fmt.Errorf("window %d: %s", round, res.Info)
-		}
+		fmt.Fprintf(out, "%-34s ok (%d windows × %d clients × %d ops)\n", tg.Name, *rounds, *clients, *opsPer)
 	}
 	return nil
 }

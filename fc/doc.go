@@ -20,11 +20,4 @@
 // Progress guarantees: blocking in the combining sense — one thread holds
 // the combiner role while the rest spin on their publication records; the
 // batch application bounds every waiter's delay by the batch length.
-//
-// # Deprecated aliases
-//
-// Combiner and NewCombiner are deprecated aliases kept from the migration
-// of the combining core into package contend; godoc and gopls surface the
-// markers, and new code should use contend.Combiner / contend.NewCombiner
-// directly.
 package fc

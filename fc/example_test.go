@@ -4,17 +4,19 @@ import (
 	"fmt"
 	"sync"
 
+	"github.com/cds-suite/cds/contend"
 	"github.com/cds-suite/cds/fc"
 )
 
-// A Combiner makes any sequential structure concurrent: operations are
-// submitted as closures and applied in batches by one combiner thread.
-// Results come out through captured variables.
-func ExampleCombiner() {
+// The combining core under these containers, contend.Combiner, makes any
+// sequential structure concurrent: operations are submitted as closures and
+// applied in batches by one combiner thread. Results come out through
+// captured variables.
+func Example_combiner() {
 	type scoreboard struct {
 		scores map[string]int
 	}
-	c := fc.NewCombiner(&scoreboard{scores: make(map[string]int)})
+	c := contend.NewCombiner(&scoreboard{scores: make(map[string]int)})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 10; i++ {

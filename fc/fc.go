@@ -5,19 +5,6 @@ import (
 	"github.com/cds-suite/cds/contend"
 )
 
-// Combiner wraps a sequential structure with flat-combining concurrency.
-//
-// Deprecated: use contend.Combiner directly; this alias remains so existing
-// callers keep compiling while the combining core lives in package contend.
-type Combiner[S any] = contend.Combiner[S]
-
-// NewCombiner returns a Combiner around the given sequential structure.
-//
-// Deprecated: use contend.NewCombiner.
-func NewCombiner[S any](seq S) *Combiner[S] {
-	return contend.NewCombiner(seq)
-}
-
 // Option configures a combining container at construction.
 type Option func(*config)
 

@@ -9,32 +9,12 @@ import (
 	"github.com/cds-suite/cds/contend"
 )
 
-func TestCombinerAppliesAll(t *testing.T) {
-	type counter struct{ n int }
-	c := NewCombiner(&counter{})
-	workers := 2 * runtime.GOMAXPROCS(0)
-	const perWorker = 5000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				c.Do(func(s *counter) { s.n++ })
-			}
-		}()
-	}
-	wg.Wait()
-	var got int
-	c.Do(func(s *counter) { got = s.n })
-	if want := workers * perWorker; got != want {
-		t.Fatalf("counter = %d, want %d", got, want)
-	}
-}
-
+// The combining core's own suite lives in package contend; this pins the
+// one property the containers lean on — a result captured by the closure is
+// visible once Do returns — through the constructor they use.
 func TestCombinerResultsVisible(t *testing.T) {
 	type box struct{ v int }
-	c := NewCombiner(&box{v: 7})
+	c := contend.NewCombiner(&box{v: 7})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -51,42 +31,6 @@ func TestCombinerResultsVisible(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-func TestCombinerSubmissionOrderPerThread(t *testing.T) {
-	// Operations submitted by one goroutine apply in program order.
-	type log struct{ seen []int }
-	c := NewCombiner(&log{})
-	var wg sync.WaitGroup
-	workers := 4
-	const per = 2000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				v := w*per + i
-				c.Do(func(s *log) { s.seen = append(s.seen, v) })
-			}
-		}(w)
-	}
-	wg.Wait()
-	var snapshot []int
-	c.Do(func(s *log) { snapshot = append([]int(nil), s.seen...) })
-	if len(snapshot) != workers*per {
-		t.Fatalf("applied %d ops, want %d", len(snapshot), workers*per)
-	}
-	last := make([]int, workers)
-	for i := range last {
-		last[i] = -1
-	}
-	for _, v := range snapshot {
-		w, seq := v/per, v%per
-		if seq <= last[w] {
-			t.Fatalf("worker %d: op %d applied after %d", w, seq, last[w])
-		}
-		last[w] = seq
-	}
 }
 
 func TestFCQueueFIFO(t *testing.T) {

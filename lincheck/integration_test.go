@@ -2,7 +2,6 @@ package lincheck_test
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,20 +9,12 @@ import (
 
 	cds "github.com/cds-suite/cds"
 	"github.com/cds-suite/cds/cache"
-	"github.com/cds-suite/cds/cmap"
-	"github.com/cds-suite/cds/contend"
-	"github.com/cds-suite/cds/counter"
-	"github.com/cds-suite/cds/deque"
+	"github.com/cds-suite/cds/catalog"
 	"github.com/cds-suite/cds/dual"
 	"github.com/cds-suite/cds/internal/xrand"
 	"github.com/cds-suite/cds/lincheck"
-	"github.com/cds-suite/cds/list"
 	"github.com/cds-suite/cds/pool"
-	"github.com/cds-suite/cds/pqueue"
-	"github.com/cds-suite/cds/queue"
 	"github.com/cds-suite/cds/reclaim"
-	"github.com/cds-suite/cds/skiplist"
-	"github.com/cds-suite/cds/stack"
 	"github.com/cds-suite/cds/stm"
 )
 
@@ -46,9 +37,7 @@ func hpAggressive() *reclaim.HP {
 
 // The integration strategy: many small windows (few clients, few ops each)
 // recorded from the real structures under genuine concurrency, each window
-// checked exhaustively. Small windows keep the exponential checker fast
-// while still catching ordering bugs, which manifest within tiny
-// neighbourhoods of conflicting operations.
+// checked exhaustively (see lincheck.Stress).
 const (
 	linClients    = 3
 	linOpsPerCli  = 4
@@ -57,264 +46,35 @@ const (
 	linValueRange = 4
 )
 
-func runWindows(t *testing.T, model lincheck.Model, mkOps func(round int) func(client int, rng *xrand.Rand, rec *lincheck.Recorder)) {
+// needProcs raises GOMAXPROCS to at least 4 for the test's duration, so the
+// concurrency tests record genuinely interleaved histories on any box
+// instead of skipping on a small one.
+func needProcs(t *testing.T) {
 	t.Helper()
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs parallelism to record meaningful histories")
-	}
-	for round := 0; round < linRounds; round++ {
-		rec := lincheck.NewRecorder(linClients)
-		ops := mkOps(round)
-		var wg sync.WaitGroup
-		for c := 0; c < linClients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				rng := xrand.New(uint64(round*linClients+c) + 1)
-				ops(c, rng, rec)
-			}(c)
-		}
-		wg.Wait()
-		if res := lincheck.Check(model, rec.History()); !res.Ok {
-			t.Fatalf("round %d: %s", round, res.Info)
-		}
+	if prev := runtime.GOMAXPROCS(0); prev < 4 {
+		runtime.GOMAXPROCS(4)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	}
 }
 
-func TestLinearizableStacks(t *testing.T) {
-	impls := map[string]func() cds.Stack[int]{
-		"Mutex":       func() cds.Stack[int] { return stack.NewMutex[int]() },
-		"Treiber":     func() cds.Stack[int] { return stack.NewTreiber[int]() },
-		"Elimination": func() cds.Stack[int] { return stack.NewElimination[int](2, 16) },
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.StackModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
-				s := mk()
-				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
-					for i := 0; i < linOpsPerCli; i++ {
-						if rng.Intn(2) == 0 {
-							v := rng.Intn(linValueRange)
-							p := rec.Begin(client, lincheck.StackPush{Value: v})
-							s.Push(v)
-							p.End(nil)
-						} else {
-							p := rec.Begin(client, lincheck.StackPop{})
-							v, ok := s.TryPop()
-							p.End(lincheck.ValueOK{Value: v, OK: ok})
-						}
-					}
-				}
-			})
-		})
+func runWindows(t *testing.T, model lincheck.Model, window func() func(client int, rng *xrand.Rand, rec *lincheck.Recorder)) {
+	t.Helper()
+	needProcs(t)
+	if err := lincheck.Stress(model, linRounds, linClients, window); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestLinearizableQueues(t *testing.T) {
-	impls := map[string]func() cds.Queue[int]{
-		"Mutex":   func() cds.Queue[int] { return queue.NewMutex[int]() },
-		"TwoLock": func() cds.Queue[int] { return queue.NewTwoLock[int]() },
-		"MS":      func() cds.Queue[int] { return queue.NewMS[int]() },
-		// The narrow handoff array and small spin budget force the
-		// elimination path to fire inside the tiny windows: FIFO
-		// elimination is only legal on an empty queue, which is precisely
-		// the validation the checker would catch cheating on.
-		"ElimMS": func() cds.Queue[int] { return queue.NewElimination[int](2, 16) },
-		"MS+EBR": func() cds.Queue[int] {
-			return queue.NewMS[int](queue.WithReclaim(ebrAggressive()), queue.WithRecycling())
-		},
-		"MS+HP": func() cds.Queue[int] {
-			return queue.NewMS[int](queue.WithReclaim(hpAggressive()), queue.WithRecycling())
-		},
-		// Segment size 2 forces the close/append transition every couple of
-		// enqueues, so the exhaustive windows repeatedly cross segment
-		// boundaries — the linearization-sensitive path (the append CAS, and
-		// empty verdicts racing a seal). The EBR/HP variants recycle, so a
-		// premature segment reuse inside a window is an ABA the checker
-		// would flag as an impossible history.
-		"LCRQ": func() cds.Queue[int] {
-			return queue.NewLCRQ[int](queue.WithSegmentSize(2))
-		},
-		"LCRQ+EBR": func() cds.Queue[int] {
-			return queue.NewLCRQ[int](queue.WithSegmentSize(2),
-				queue.WithReclaim(ebrAggressive()), queue.WithRecycling())
-		},
-		"LCRQ+HP": func() cds.Queue[int] {
-			return queue.NewLCRQ[int](queue.WithSegmentSize(2),
-				queue.WithReclaim(hpAggressive()), queue.WithRecycling())
-		},
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.QueueModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
-				q := mk()
-				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
-					for i := 0; i < linOpsPerCli; i++ {
-						if rng.Intn(2) == 0 {
-							v := rng.Intn(linValueRange)
-							p := rec.Begin(client, lincheck.QueueEnqueue{Value: v})
-							q.Enqueue(v)
-							p.End(nil)
-						} else {
-							p := rec.Begin(client, lincheck.QueueDequeue{})
-							v, ok := q.TryDequeue()
-							p.End(lincheck.ValueOK{Value: v, OK: ok})
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
-func TestLinearizableBoundedQueues(t *testing.T) {
-	t.Run("MPMC", func(t *testing.T) {
-		runWindows(t, lincheck.QueueModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
-			q := queue.NewMPMC[int](64) // capacity >> window size: never full
-			return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
-				for i := 0; i < linOpsPerCli; i++ {
-					if rng.Intn(2) == 0 {
-						v := rng.Intn(linValueRange)
-						p := rec.Begin(client, lincheck.QueueEnqueue{Value: v})
-						q.TryEnqueue(v)
-						p.End(nil)
-					} else {
-						p := rec.Begin(client, lincheck.QueueDequeue{})
-						v, ok := q.TryDequeue()
-						p.End(lincheck.ValueOK{Value: v, OK: ok})
-					}
-				}
-			}
-		})
-	})
-}
-
-// TestLinearizableMPSCQueues respects the MPSC contract inside the
-// windows: clients 0..n-2 are enqueue-only producers and the last client
-// is the sole dequeuer (the plain-store dequeue cursor is only sound
-// single-consumer). The model is still the full QueueModel — the
-// specialization must not cost FIFO or exactly-once delivery. Segment
-// size 2 keeps every window crossing segment boundaries, and the EBR/HP
-// variants recycle those segments aggressively.
-func TestLinearizableMPSCQueues(t *testing.T) {
-	impls := map[string]func() *queue.MPSC[int]{
-		"MPSC": func() *queue.MPSC[int] {
-			return queue.NewMPSC[int](queue.WithSegmentSize(2))
-		},
-		"MPSC+EBR": func() *queue.MPSC[int] {
-			return queue.NewMPSC[int](queue.WithSegmentSize(2),
-				queue.WithReclaim(ebrAggressive()), queue.WithRecycling())
-		},
-		"MPSC+HP": func() *queue.MPSC[int] {
-			return queue.NewMPSC[int](queue.WithSegmentSize(2),
-				queue.WithReclaim(hpAggressive()), queue.WithRecycling())
-		},
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.QueueModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
-				q := mk()
-				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
-					for i := 0; i < linOpsPerCli; i++ {
-						if client != linClients-1 {
-							v := rng.Intn(linValueRange)
-							p := rec.Begin(client, lincheck.QueueEnqueue{Value: v})
-							q.Enqueue(v)
-							p.End(nil)
-							continue
-						}
-						p := rec.Begin(client, lincheck.QueueDequeue{})
-						v, ok := q.TryDequeue()
-						p.End(lincheck.ValueOK{Value: v, OK: ok})
-					}
-				}
-			})
-		})
-	}
-}
-
-func TestLinearizableSets(t *testing.T) {
-	impls := map[string]func() cds.Set[int]{
-		"list.Coarse":       func() cds.Set[int] { return list.NewCoarse[int]() },
-		"list.Fine":         func() cds.Set[int] { return list.NewFine[int]() },
-		"list.Optimistic":   func() cds.Set[int] { return list.NewOptimistic[int]() },
-		"list.Lazy":         func() cds.Set[int] { return list.NewLazy[int]() },
-		"list.Harris":       func() cds.Set[int] { return list.NewHarris[int]() },
-		"skiplist.Lazy":     func() cds.Set[int] { return skiplist.NewLazy[int]() },
-		"skiplist.LockFree": func() cds.Set[int] { return skiplist.NewLockFree[int]() },
-		"list.Harris+EBR": func() cds.Set[int] {
-			return list.NewHarris[int](list.WithReclaim(ebrAggressive()), list.WithRecycling())
-		},
-		"list.Harris+HP": func() cds.Set[int] {
-			return list.NewHarris[int](list.WithReclaim(hpAggressive()), list.WithRecycling())
-		},
-		"skiplist.LockFree+EBR": func() cds.Set[int] {
-			return skiplist.NewLockFree[int](skiplist.WithReclaim(ebrAggressive()))
-		},
-		"skiplist.LockFree+HP": func() cds.Set[int] {
-			return skiplist.NewLockFree[int](skiplist.WithReclaim(hpAggressive()))
-		},
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.SetModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
-				s := mk()
-				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
-					for i := 0; i < linOpsPerCli; i++ {
-						k := rng.Intn(linKeyRange)
-						switch rng.Intn(3) {
-						case 0:
-							p := rec.Begin(client, lincheck.SetAdd{Key: k})
-							p.End(s.Add(k))
-						case 1:
-							p := rec.Begin(client, lincheck.SetRemove{Key: k})
-							p.End(s.Remove(k))
-						default:
-							p := rec.Begin(client, lincheck.SetContains{Key: k})
-							p.End(s.Contains(k))
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
-func TestLinearizableMaps(t *testing.T) {
-	impls := map[string]func() cds.Map[int, int]{
-		"Locked":       func() cds.Map[int, int] { return cmap.NewLocked[int, int]() },
-		"Striped":      func() cds.Map[int, int] { return cmap.NewStriped[int, int](8) },
-		"SplitOrdered": func() cds.Map[int, int] { return cmap.NewSplitOrdered[int, int]() },
-		"SplitOrdered+EBR": func() cds.Map[int, int] {
-			return cmap.NewSplitOrdered[int, int](cmap.WithReclaim(ebrAggressive()), cmap.WithRecycling())
-		},
-		"SplitOrdered+HP": func() cds.Map[int, int] {
-			return cmap.NewSplitOrdered[int, int](cmap.WithReclaim(hpAggressive()))
-		},
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.MapModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
-				m := mk()
-				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
-					for i := 0; i < linOpsPerCli; i++ {
-						k := rng.Intn(linKeyRange)
-						switch rng.Intn(3) {
-						case 0:
-							v := rng.Intn(linValueRange)
-							p := rec.Begin(client, lincheck.MapStore{Key: k, Value: v})
-							m.Store(k, v)
-							p.End(nil)
-						case 1:
-							p := rec.Begin(client, lincheck.MapLoad{Key: k})
-							v, ok := m.Load(k)
-							p.End(lincheck.ValueOK{Value: v, OK: ok})
-						default:
-							p := rec.Begin(client, lincheck.MapDelete{Key: k})
-							p.End(m.Delete(k))
-						}
-					}
-				}
+// TestLinearizableCatalogue checks every linearizable row of the catalogue
+// under every option point it accepts — reclamation domain × recycling,
+// combining backend — with the tight parameters, against its shape's
+// sequential model. Registering a variant in the catalogue is what puts it
+// here.
+func TestLinearizableCatalogue(t *testing.T) {
+	for _, tg := range catalog.Targets() {
+		t.Run(tg.Name, func(t *testing.T) {
+			runWindows(t, tg.Model, func() func(int, *xrand.Rand, *lincheck.Recorder) {
+				return tg.Window(linClients, linOpsPerCli)
 			})
 		})
 	}
@@ -336,7 +96,7 @@ func TestLinearizableCaches(t *testing.T) {
 	}
 	for name, mk := range impls {
 		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.CacheModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
+			runWindows(t, lincheck.CacheModel(), func() func(int, *xrand.Rand, *lincheck.Recorder) {
 				c := mk()
 				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
 					for i := 0; i < linOpsPerCli; i++ {
@@ -391,7 +151,7 @@ func TestLinearizableWeightedCaches(t *testing.T) {
 	}
 	for name, mk := range impls {
 		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.CacheModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
+			runWindows(t, lincheck.CacheModel(), func() func(int, *xrand.Rand, *lincheck.Recorder) {
 				c := mk()
 				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
 					for i := 0; i < linOpsPerCli; i++ {
@@ -425,130 +185,11 @@ func TestLinearizableWeightedCaches(t *testing.T) {
 	}
 }
 
-func TestLinearizableCounters(t *testing.T) {
-	impls := map[string]func() cds.Counter{
-		"Locked": func() cds.Counter { return new(counter.Locked) },
-		"Atomic": func() cds.Counter { return new(counter.Atomic) },
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.CounterModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
-				c := mk()
-				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
-					for i := 0; i < linOpsPerCli; i++ {
-						if rng.Intn(2) == 0 {
-							d := int64(rng.Intn(3) - 1)
-							p := rec.Begin(client, lincheck.CounterAdd{Delta: d})
-							c.Add(d)
-							p.End(nil)
-						} else {
-							p := rec.Begin(client, lincheck.CounterLoad{})
-							p.End(c.Load())
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
-// TestLinearizableDeques covers the work-stealing family. Chase-Lev
-// restricts PushBottom/TryPopBottom to one owner goroutine, so client 0
-// plays the owner (mixing pushes and bottom pops) while the remaining
-// clients are thieves racing TryPopTop — the steal/take races on the last
-// element are exactly the windows the checker must see.
-func TestLinearizableDeques(t *testing.T) {
-	impls := map[string]func() cds.Deque[int]{
-		"Mutex":    func() cds.Deque[int] { return deque.NewMutex[int]() },
-		"ChaseLev": func() cds.Deque[int] { return deque.NewChaseLev[int](8) },
-		"FC":       func() cds.Deque[int] { return deque.NewFC[int]() },
-		// The combining-backend variants re-verify the same sequential deque
-		// under the CC-Synch/DSM-Synch delegation protocols: the windows
-		// exercise the tail-swap/handoff transitions under real concurrency.
-		"FC/CC-Synch": func() cds.Deque[int] {
-			return deque.NewFC[int](deque.WithBackend(contend.BackendCCSynch))
-		},
-		"FC/DSM-Synch": func() cds.Deque[int] {
-			return deque.NewFC[int](deque.WithBackend(contend.BackendDSMSynch))
-		},
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.DequeModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
-				d := mk()
-				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
-					for i := 0; i < linOpsPerCli; i++ {
-						switch {
-						case client != 0:
-							p := rec.Begin(client, lincheck.DequePopTop{})
-							v, ok := d.TryPopTop()
-							p.End(lincheck.ValueOK{Value: v, OK: ok})
-						case rng.Intn(2) == 0:
-							v := rng.Intn(linValueRange)
-							p := rec.Begin(client, lincheck.DequePushBottom{Value: v})
-							d.PushBottom(v)
-							p.End(nil)
-						default:
-							p := rec.Begin(client, lincheck.DequePopBottom{})
-							v, ok := d.TryPopBottom()
-							p.End(lincheck.ValueOK{Value: v, OK: ok})
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
-// TestLinearizablePriorityQueues draws values from the tiny range so that
-// duplicate minima are common: the multiset model must accept any of the
-// tied instances while still rejecting out-of-order deliveries.
-func TestLinearizablePriorityQueues(t *testing.T) {
-	impls := map[string]func() cds.PriorityQueue[int]{
-		"LockedHeap": func() cds.PriorityQueue[int] {
-			return pqueue.NewHeap[int](func(a, b int) bool { return a < b })
-		},
-		"SkipListPQ": func() cds.PriorityQueue[int] { return pqueue.NewSkipList[int]() },
-		"FCHeap": func() cds.PriorityQueue[int] {
-			return pqueue.NewFC[int](func(a, b int) bool { return a < b })
-		},
-		"FCHeap/CC-Synch": func() cds.PriorityQueue[int] {
-			return pqueue.NewFC[int](func(a, b int) bool { return a < b },
-				pqueue.WithBackend(contend.BackendCCSynch))
-		},
-		"FCHeap/DSM-Synch": func() cds.PriorityQueue[int] {
-			return pqueue.NewFC[int](func(a, b int) bool { return a < b },
-				pqueue.WithBackend(contend.BackendDSMSynch))
-		},
-	}
-	for name, mk := range impls {
-		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.PQModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
-				pq := mk()
-				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
-					for i := 0; i < linOpsPerCli; i++ {
-						if rng.Intn(2) == 0 {
-							v := rng.Intn(linValueRange)
-							p := rec.Begin(client, lincheck.PQInsert{Value: v})
-							pq.Insert(v)
-							p.End(nil)
-						} else {
-							p := rec.Begin(client, lincheck.PQDeleteMin{})
-							v, ok := pq.TryDeleteMin()
-							p.End(lincheck.ValueOK{Value: v, OK: ok})
-						}
-					}
-				}
-			})
-		})
-	}
-}
-
 // TestLinearizableSTMCounter checks STM atomicity through the counter
 // model: racing read-modify-write transactions must never lose an update,
 // which is precisely what a torn TL2 commit would produce.
 func TestLinearizableSTMCounter(t *testing.T) {
-	runWindows(t, lincheck.CounterModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
+	runWindows(t, lincheck.CounterModel(), func() func(int, *xrand.Rand, *lincheck.Recorder) {
 		v := stm.NewTVar(int64(0))
 		return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
 			for i := 0; i < linOpsPerCli; i++ {
@@ -573,7 +214,7 @@ func TestLinearizableSTMCounter(t *testing.T) {
 // guarantee). A torn read records the sentinel -1, which the register
 // model rejects because -1 is never written.
 func TestLinearizableSTMSnapshot(t *testing.T) {
-	runWindows(t, lincheck.RegisterModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
+	runWindows(t, lincheck.RegisterModel(), func() func(int, *xrand.Rand, *lincheck.Recorder) {
 		a, b := stm.NewTVar(0), stm.NewTVar(0)
 		return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
 			for i := 0; i < linOpsPerCli; i++ {
@@ -606,7 +247,8 @@ func TestLinearizableSTMSnapshot(t *testing.T) {
 // "stack" (a queue pretending to be a stack) and requires a rejection —
 // guarding against the checker silently accepting everything.
 func TestCheckerCatchesRealBug(t *testing.T) {
-	q := queue.NewMutex[int]() // FIFO masquerading as a stack
+	built, _ := catalog.Find("queue", "Mutex").New(catalog.Options{})
+	q := built.(cds.Queue[int]) // FIFO masquerading as a stack
 	rec := lincheck.NewRecorder(1)
 	push := func(v int) {
 		p := rec.Begin(0, lincheck.StackPush{Value: v})
@@ -626,8 +268,6 @@ func TestCheckerCatchesRealBug(t *testing.T) {
 		t.Fatal("checker accepted FIFO behaviour as a stack")
 	} else if res.Info == "" {
 		t.Fatal("rejection carried no diagnostic")
-	} else {
-		_ = fmt.Sprintf("%s", res.Info) // diagnostic is renderable
 	}
 }
 
@@ -651,7 +291,7 @@ func TestLinearizableDualQueues(t *testing.T) {
 	const takeTimeout = 20 * time.Millisecond
 	for name, mk := range impls {
 		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.QueueModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
+			runWindows(t, lincheck.QueueModel(), func() func(int, *xrand.Rand, *lincheck.Recorder) {
 				q := mk()
 				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
 					for i := 0; i < linOpsPerCli; i++ {
@@ -700,7 +340,7 @@ func TestLinearizableSyncQueue(t *testing.T) {
 	const rvTimeout = 20 * time.Millisecond
 	for name, mk := range impls {
 		t.Run(name, func(t *testing.T) {
-			runWindows(t, lincheck.SyncQueueModel(), func(int) func(int, *xrand.Rand, *lincheck.Recorder) {
+			runWindows(t, lincheck.SyncQueueModel(), func() func(int, *xrand.Rand, *lincheck.Recorder) {
 				s := mk()
 				return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
 					for i := 0; i < linOpsPerCli; i++ {
@@ -731,9 +371,7 @@ func TestLinearizableSyncQueue(t *testing.T) {
 // accepted task ran exactly once, no rejected task ran, and nothing ran
 // before its submission.
 func TestPoolTaskConservation(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs parallelism to record meaningful histories")
-	}
+	needProcs(t)
 	const (
 		rounds       = 30
 		submitters   = 2

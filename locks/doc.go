@@ -10,7 +10,7 @@
 // scalability is reproducible by swapping implementations. Second, the
 // classic "lock scalability" figure — throughput of a tiny critical section
 // as threads grow — is one of the canonical experiments this module
-// regenerates (experiment F1 in DESIGN.md).
+// regenerates (experiment F1; `cdsbench -list` prints the experiment index).
 //
 // # Which lock when
 //
