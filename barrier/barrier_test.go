@@ -1,10 +1,11 @@
 package barrier
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/cds-suite/cds/internal/testprocs"
 )
 
 // waiter is the common per-party interface of all three barrier types.
@@ -73,10 +74,7 @@ func TestPhaseIsolation(t *testing.T) {
 // TestNoEarlySpill verifies that a party cannot lap the others: after each
 // Wait, the shared phase counter advances in lockstep.
 func TestLockstepPhases(t *testing.T) {
-	n := runtime.GOMAXPROCS(0)
-	if n < 2 {
-		t.Skip("needs >= 2 procs to be meaningful")
-	}
+	n := testprocs.AtLeast(t, 2) // one party cannot lap itself
 	for name, mk := range barriers(n) {
 		t.Run(name, func(t *testing.T) {
 			const phases = 500

@@ -6,7 +6,13 @@ import (
 	"go/token"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"github.com/cds-suite/cds/internal/testprocs"
+	"github.com/cds-suite/cds/internal/xrand"
+	"github.com/cds-suite/cds/lincheck"
+	"github.com/cds-suite/cds/reclaim"
 )
 
 // excluded lists the exported New* constructors of the shape-bearing
@@ -98,6 +104,63 @@ func TestRowsAreWellFormed(t *testing.T) {
 	for _, wl := range Workloads() {
 		if len(Select(wl.Family, wl.Group)) == 0 {
 			t.Errorf("workload %q matches no row", wl.Name)
+		}
+	}
+}
+
+// countingGC is a non-deferring domain that counts the guards it is asked
+// for. reclaim.NewPool returns no pool for such a domain, so a structure
+// built over it must never ask.
+type countingGC struct {
+	reclaim.Domain
+	guards atomic.Int64
+}
+
+func (d *countingGC) NewGuard(slots int) reclaim.Guard {
+	d.guards.Add(1)
+	return d.Domain.NewGuard(slots)
+}
+
+// TestExplicitGCDomainIsTheDefault builds every linearizable row that
+// accepts a reclamation domain over an explicit non-deferring one — with
+// recycling requested wherever the row admits it, which the options
+// document as ignored there — and checks it behaves as the default:
+// the row's lincheck windows pass, no guard is ever registered, and
+// nothing is retired into the domain.
+func TestExplicitGCDomainIsTheDefault(t *testing.T) {
+	const clients, ops, rounds = 3, 4, 40
+	testprocs.AtLeast(t, 4)
+	for _, r := range Rows() {
+		if r.Accepts&Reclaim == 0 || r.Relaxed {
+			continue
+		}
+		for _, recycle := range []bool{false, true} {
+			if recycle && r.Accepts&(Recycle|RecycleEBR) == 0 {
+				continue
+			}
+			o := Options{Tight: true, Recycle: recycle}
+			t.Run(r.Family+"/"+r.Label+o.Suffix(), func(t *testing.T) {
+				dom := &countingGC{Domain: reclaim.NewGC()}
+				o.dom = dom
+				err := lincheck.Stress(r.Model, rounds, clients, func() func(int, *xrand.Rand, *lincheck.Recorder) {
+					s := r.build(o)
+					return func(client int, rng *xrand.Rand, rec *lincheck.Recorder) {
+						step := r.client(s, client, clients)
+						for i := 0; i < ops; i++ {
+							step(rng, rec)
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := dom.guards.Load(); n != 0 {
+					t.Errorf("registered %d guards with a non-deferring domain", n)
+				}
+				if dom.Pending() != 0 || dom.Reclaimed() != 0 {
+					t.Errorf("gauges = (pending %d, reclaimed %d), want (0, 0)", dom.Pending(), dom.Reclaimed())
+				}
+			})
 		}
 	}
 }

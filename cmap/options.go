@@ -15,8 +15,9 @@ type options struct {
 // reclaim.NewHP) to the map: physically unlinked item nodes are retired
 // through it instead of being left to the garbage collector, and keyed
 // operations protect their (pred, curr) window per the domain's protocol.
-// Bucket sentinels are never removed, so they are never retired. The
-// default is the zero-cost GC path.
+// Bucket sentinels are never removed, so they are never retired. Without
+// it, or with reclaim.NewGC(), the same code runs on a nil guard and
+// unlinked nodes are simply garbage.
 func WithReclaim(d reclaim.Domain) Option {
 	return func(o *options) { o.dom = d }
 }
@@ -34,12 +35,6 @@ func buildOptions(opts []Option) options {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.dom != nil && !o.dom.Deferred() {
-		o.dom = nil // explicit GC domain: same as the default fast path
-	}
-	if o.dom == nil {
-		o.recycle = false
 	}
 	return o
 }

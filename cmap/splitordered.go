@@ -88,50 +88,23 @@ func NewSplitOrdered[K comparable, V any](opts ...Option) *SplitOrdered[K, V] {
 	m.segments[0].Store(seg0)
 
 	o := buildOptions(opts)
-	if o.dom != nil {
-		m.mem = reclaim.NewPool(o.dom, 2)
-		if o.recycle {
-			g := m.mem.Get()
-			if !g.Protects() { // Range cannot hold hazards: EBR only
-				m.nodes = reclaim.NewRecycler(func(n *soNode[K, V]) {
-					var zeroK K
-					n.soKey = 0
-					n.key = zeroK
-					n.val.Store(nil)
-					n.ref.Store(nil)
-				})
-			}
-			m.mem.Put(g)
+	m.mem = reclaim.NewPool(o.dom, 2)
+	if o.recycle {
+		// Range cannot hold hazards across its walk, so recycling needs a
+		// non-protecting guard: EBR only.
+		g := m.mem.Enter()
+		if g != nil && !g.Protects() {
+			m.nodes = reclaim.NewRecycler(func(n *soNode[K, V]) {
+				var zeroK K
+				n.soKey = 0
+				n.key = zeroK
+				n.val.Store(nil)
+				n.ref.Store(nil)
+			})
 		}
+		m.mem.Exit(g)
 	}
 	return m
-}
-
-// acquire returns a guard with its section entered, or nil when the map
-// runs on plain GC reclamation.
-func (m *SplitOrdered[K, V]) acquire() reclaim.Guard {
-	if m.mem == nil {
-		return nil
-	}
-	g := m.mem.Get()
-	g.Enter()
-	return g
-}
-
-func (m *SplitOrdered[K, V]) release(g reclaim.Guard) {
-	if g == nil {
-		return
-	}
-	g.Exit()
-	m.mem.Put(g)
-}
-
-// retire hands a successfully unlinked item node to the guard's domain.
-func (m *SplitOrdered[K, V]) retire(g reclaim.Guard, n *soNode[K, V]) {
-	if g == nil {
-		return
-	}
-	reclaim.Retire(g, m.nodes, n)
 }
 
 func soRegularKey(h uint64) uint64  { return bits.Reverse64(h) | 1 }
@@ -232,7 +205,7 @@ retry:
 					continue retry
 				}
 				predRef = newRef
-				m.retire(g, curr)
+				reclaim.Retire(g, m.nodes, curr)
 				curr = currRef.next
 				continue
 			}
@@ -264,8 +237,8 @@ func (m *SplitOrdered[K, V]) startFor(g reclaim.Guard, h uint64) *soNode[K, V] {
 
 // Load returns the value stored for k.
 func (m *SplitOrdered[K, V]) Load(k K) (v V, ok bool) {
-	g := m.acquire()
-	defer m.release(g)
+	g := m.mem.Enter()
+	defer m.mem.Exit(g)
 	h := m.hash(k)
 	_, _, curr, found := m.find(g, m.startFor(g, h), soRegularKey(h), &k)
 	if !found {
@@ -287,8 +260,8 @@ func (m *SplitOrdered[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
 
 // upsert implements Store (overwrite=true) and LoadOrStore (overwrite=false).
 func (m *SplitOrdered[K, V]) upsert(k K, v V, overwrite bool) (actual V, loaded bool) {
-	g := m.acquire()
-	defer m.release(g)
+	g := m.mem.Enter()
+	defer m.mem.Exit(g)
 	h := m.hash(k)
 	soKey := soRegularKey(h)
 	var b contend.Backoff
@@ -330,8 +303,8 @@ func (m *SplitOrdered[K, V]) upsert(k K, v V, overwrite bool) (actual V, loaded 
 
 // Delete removes k, reporting whether it was present.
 func (m *SplitOrdered[K, V]) Delete(k K) bool {
-	g := m.acquire()
-	defer m.release(g)
+	g := m.mem.Enter()
+	defer m.mem.Exit(g)
 	h := m.hash(k)
 	soKey := soRegularKey(h)
 	var b contend.Backoff
@@ -352,7 +325,7 @@ func (m *SplitOrdered[K, V]) Delete(k K) bool {
 		// Physical unlink is best-effort; find() helps later on failure,
 		// and whoever's unlink CAS succeeds does the retiring.
 		if pred.ref.CompareAndSwap(predRef, &soRef[K, V]{next: currRef.next}) {
-			m.retire(g, curr)
+			reclaim.Retire(g, m.nodes, curr)
 		}
 		m.size.Add(-1)
 		return true
@@ -372,8 +345,8 @@ func (m *SplitOrdered[K, V]) Len() int {
 // recycling is disabled there, so retired nodes remain type-stable
 // GC-managed memory the walk may harmlessly read through).
 func (m *SplitOrdered[K, V]) Range(f func(K, V) bool) {
-	g := m.acquire()
-	defer m.release(g)
+	g := m.mem.Enter()
+	defer m.mem.Exit(g)
 	head := m.getBucket(g, 0)
 	for curr := head.ref.Load().next; curr != nil; {
 		ref := curr.ref.Load()

@@ -13,7 +13,8 @@ type options struct {
 // reclaim.NewHP) to the structure: unlinked transfer-list nodes are
 // retired through it and traversals follow the domain's protection
 // protocol. Guards are never held across a park, so a blocked waiter does
-// not stall the domain. The default is the zero-cost GC path.
+// not stall the domain. Without it, or with reclaim.NewGC(), the same
+// code runs on a nil guard and unlinked nodes are simply garbage.
 //
 // Unlike the total-operation structures there is no WithRecycling: a
 // waiter still reads its own node after the fulfilling side may have
@@ -26,9 +27,6 @@ func buildOptions(opts []Option) options {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.dom != nil && !o.dom.Deferred() {
-		o.dom = nil // explicit GC domain: same as the default fast path
 	}
 	return o
 }

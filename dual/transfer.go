@@ -125,41 +125,11 @@ type xfer[T any] struct {
 }
 
 func newXfer[T any](dom reclaim.Domain) *xfer[T] {
-	q := &xfer[T]{cancelled: new(xitem[T]), taken: new(xitem[T])}
-	if dom != nil && dom.Deferred() {
-		q.mem = reclaim.NewPool(dom, 2)
-	}
+	q := &xfer[T]{cancelled: new(xitem[T]), taken: new(xitem[T]), mem: reclaim.NewPool(dom, 2)}
 	dummy := &node[T]{}
 	q.head.Store(dummy)
 	q.tail.Store(dummy)
 	return q
-}
-
-// guard obtains a reclamation guard with an open section, or nil when the
-// queue runs on the default GC path.
-func (q *xfer[T]) guard() reclaim.Guard {
-	if q.mem == nil {
-		return nil
-	}
-	g := q.mem.Get()
-	g.Enter()
-	return g
-}
-
-func (q *xfer[T]) release(g reclaim.Guard) {
-	if g != nil {
-		g.Exit()
-		q.mem.Put(g)
-	}
-}
-
-// loadHead reads the head under g's slot-0 hazard (a plain load under
-// EBR/GC).
-func (q *xfer[T]) loadHead(g reclaim.Guard) *node[T] {
-	if g == nil {
-		return q.head.Load()
-	}
-	return reclaim.Load(g, 0, &q.head)
 }
 
 // pinNext publishes next in slot 1 and re-checks that h is still the
@@ -177,9 +147,7 @@ func (q *xfer[T]) pinNext(g reclaim.Guard, h, next *node[T]) bool {
 // matcher may call it on a settled node; only the winner retires.
 func (q *xfer[T]) advanceHead(g reclaim.Guard, h, next *node[T]) {
 	if q.head.CompareAndSwap(h, next) {
-		if g != nil {
-			reclaim.Retire[node[T]](g, nil, h)
-		}
+		reclaim.Retire(g, nil, h)
 	}
 }
 
@@ -192,10 +160,10 @@ func (q *xfer[T]) put(ctx context.Context, v T, wait bool) error {
 	pv := &xitem[T]{v: v}
 	var n *node[T]
 	var b contend.Backoff
-	g := q.guard()
-	defer q.release(g)
+	g := q.mem.Enter()
+	defer func() { q.mem.Exit(g) }()
 	for {
-		h := q.loadHead(g)
+		h := reclaim.Load(g, 0, &q.head)
 		t := q.tail.Load()
 		if h == t || t.isData {
 			// Empty or data mode: append a data node.
@@ -219,13 +187,9 @@ func (q *xfer[T]) put(ctx context.Context, v T, wait bool) error {
 				q.st.reservations.Add(1)
 				// Never hold a reclamation section while parked: a
 				// pinned epoch would stall the whole domain.
-				if g != nil {
-					g.Exit()
-				}
+				q.mem.Exit(g)
+				g = nil
 				_, err := q.await(ctx, n, pv)
-				if g != nil {
-					g.Enter()
-				}
 				return err
 			}
 			b.Pause()
@@ -258,10 +222,10 @@ func (q *xfer[T]) put(ctx context.Context, v T, wait bool) error {
 func (q *xfer[T]) take(ctx context.Context) (v T, err error) {
 	var r *node[T]
 	var b contend.Backoff
-	g := q.guard()
-	defer q.release(g)
+	g := q.mem.Enter()
+	defer func() { q.mem.Exit(g) }()
 	for {
-		h := q.loadHead(g)
+		h := reclaim.Load(g, 0, &q.head)
 		t := q.tail.Load()
 		if h == t || !t.isData {
 			// Empty or reservation mode: append our reservation.
@@ -279,13 +243,9 @@ func (q *xfer[T]) take(ctx context.Context) (v T, err error) {
 			if t.next.CompareAndSwap(nil, r) {
 				q.tail.CompareAndSwap(t, r)
 				q.st.reservations.Add(1)
-				if g != nil {
-					g.Exit()
-				}
+				q.mem.Exit(g)
+				g = nil
 				pv, err := q.await(ctx, r, nil)
-				if g != nil {
-					g.Enter()
-				}
 				if err != nil {
 					return v, err
 				}
@@ -325,10 +285,10 @@ func (q *xfer[T]) take(ctx context.Context) (v T, err error) {
 // waiter-priority fast path.
 func (q *xfer[T]) tryPut(v T) bool {
 	pv := &xitem[T]{v: v}
-	g := q.guard()
-	defer q.release(g)
+	g := q.mem.Enter()
+	defer q.mem.Exit(g)
 	for {
-		h := q.loadHead(g)
+		h := reclaim.Load(g, 0, &q.head)
 		t := q.tail.Load()
 		if h == t || t.isData {
 			return false
@@ -353,10 +313,10 @@ func (q *xfer[T]) tryPut(v T) bool {
 // tryTake claims a ready value without ever appending a reservation; ok
 // is false when no data is waiting.
 func (q *xfer[T]) tryTake() (v T, ok bool) {
-	g := q.guard()
-	defer q.release(g)
+	g := q.mem.Enter()
+	defer q.mem.Exit(g)
 	for {
-		h := q.loadHead(g)
+		h := reclaim.Load(g, 0, &q.head)
 		t := q.tail.Load()
 		if h == t || !t.isData {
 			return v, false

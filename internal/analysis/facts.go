@@ -143,9 +143,9 @@ func describeKey(key fieldKey) string {
 
 // funcFacts summarizes one module function for the interprocedural-lite
 // checks: whether calling it may park the goroutine, whether it returns
-// a guard it has already Entered (a producer like dual's q.guard()),
+// a guard it has already Entered (a producer like reclaim's Pool.Enter),
 // and which of its guard-typed parameters it Exits or Releases (a
-// releaser like dual's q.release(g)).
+// releaser like reclaim's Pool.Exit).
 type funcFacts struct {
 	mayBlock bool
 	produces bool
@@ -226,18 +226,18 @@ func (prog *Program) blocks() *blockFacts {
 				}
 				return true
 			})
-			// Producer / releaser facts.
-			if f.guardType != nil {
-				summarizeGuardFlow(di.pkg.Info, di.decl, f.guardType, facts)
-			}
 		}
 
 		// Fixpoint: a function that calls a may-block module function may
-		// block itself. Callees in the reclaim layer are exempt.
+		// block itself (callees in the reclaim layer are exempt), and the
+		// producer / releaser facts flow through helpers the same way.
 		for changed := true; changed; {
 			changed = false
 			for _, di := range decls {
 				facts := f.byFunc[di.fn]
+				if f.guardType != nil && summarizeGuardFlow(di.pkg.Info, di.decl, f.guardType, facts, f.byFunc) {
+					changed = true
+				}
 				if facts.mayBlock {
 					continue
 				}
@@ -367,10 +367,13 @@ func isBlockingStdCall(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // summarizeGuardFlow fills the produces/releases facts for one declared
-// function: produces if it returns a guard value it called Enter on;
-// releases[i] if it calls Exit or Release on its i'th guard-typed
-// parameter (directly or under a nil-check).
-func summarizeGuardFlow(info *types.Info, decl *ast.FuncDecl, guard *types.Interface, facts *funcFacts) {
+// function and reports whether it learned anything new: produces if it
+// returns a guard value it called Enter on or got from a producer (or
+// returns a producer's result directly); releases[i] if it calls Exit or
+// Release on its i'th guard-typed parameter, or hands it to a releaser
+// (directly or under a nil-check). reclaim.Pool's Enter/Exit, which wrap
+// an outlined helper each, are summarized through this transitivity.
+func summarizeGuardFlow(info *types.Info, decl *ast.FuncDecl, guard *types.Interface, facts *funcFacts, byFunc map[*types.Func]*funcFacts) bool {
 	params := make(map[*types.Var]int)
 	i := 0
 	if decl.Type.Params != nil {
@@ -385,22 +388,56 @@ func summarizeGuardFlow(info *types.Info, decl *ast.FuncDecl, guard *types.Inter
 			}
 		}
 	}
+	guardVar := func(e ast.Expr) *types.Var {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return nil
+		}
+		obj := info.Uses[id]
+		if obj == nil {
+			obj = info.Defs[id]
+		}
+		if v, ok := obj.(*types.Var); ok && isGuardType(v.Type(), guard) {
+			return v
+		}
+		return nil
+	}
+	producerCall := func(e ast.Expr) bool {
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		cf, ok := byFunc[staticCallee(info, call)]
+		return ok && cf.produces
+	}
 
-	entered := make(map[types.Object]bool)
+	produced, released := facts.produces, len(facts.releases)
+	entered := make(map[*types.Var]bool)
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) == 1 && len(n.Rhs) == 1 && producerCall(n.Rhs[0]) {
+				if v := guardVar(n.Lhs[0]); v != nil {
+					entered[v] = true
+				}
+			}
 		case *ast.CallExpr:
+			if cf, ok := byFunc[staticCallee(info, n)]; ok {
+				for idx := range cf.releases {
+					if idx >= len(n.Args) {
+						continue
+					}
+					if pi, isParam := params[guardVar(n.Args[idx])]; isParam {
+						facts.releases[pi] = true
+					}
+				}
+			}
 			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			recv, ok := ast.Unparen(sel.X).(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := info.Uses[recv]
-			v, ok := obj.(*types.Var)
-			if !ok || !isGuardType(v.Type(), guard) {
+			v := guardVar(sel.X)
+			if v == nil {
 				return true
 			}
 			switch sel.Sel.Name {
@@ -413,15 +450,14 @@ func summarizeGuardFlow(info *types.Info, decl *ast.FuncDecl, guard *types.Inter
 			}
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
-				if id, ok := ast.Unparen(res).(*ast.Ident); ok {
-					if v, ok := info.Uses[id].(*types.Var); ok && entered[v] {
-						facts.produces = true
-					}
+				if v := guardVar(res); v != nil && entered[v] || producerCall(res) {
+					facts.produces = true
 				}
 			}
 		}
 		return true
 	})
+	return facts.produces != produced || len(facts.releases) != released
 }
 
 func isGuardType(t types.Type, guard *types.Interface) bool {

@@ -13,12 +13,13 @@ import (
 // — may run while a guard is live, because a pinned epoch stalls
 // reclamation for the whole domain.
 //
-// The checker is intraprocedural plus one level of module-wide
-// summaries: a helper that Enters a guard and returns it (dual's
-// q.guard()) marks its callers' assignee live, a helper that Exits a
-// guard parameter (dual's q.release(g)) counts as an exit, and any call
-// to a module function that transitively performs a blocking primitive
-// counts as parking. Guard-typed parameters are assumed live on entry —
+// The checker is intraprocedural plus module-wide summaries: a helper
+// that Enters a guard and returns it (reclaim's Pool.Enter, which every
+// structure opens its sections with) marks its callers' assignee live, a
+// helper that Exits a guard parameter (Pool.Exit) counts as an exit —
+// both transitively, through helpers of helpers — and any call to a
+// module function that transitively performs a blocking primitive counts
+// as parking. Guard-typed parameters are assumed live on entry —
 // by convention a callee holding a guard argument is inside its caller's
 // section — but exiting them is the caller's responsibility, so only
 // locally-entered guards are checked for exit-before-return. Calls into
@@ -152,17 +153,6 @@ func (w *guardWalker) walkStmt(s ast.Stmt, st *guardState) bool {
 			w.walkStmt(s.Init, st)
 		}
 		w.scanExpr(s.Cond, st)
-		// `if g != nil { ... }` around guard ops is the codebase's idiom
-		// for structures whose GC mode passes a nil guard: in the implicit
-		// else branch the guard does not exist, so the then-branch's
-		// effects are effectively unconditional.
-		if key, ok := w.nilCheckedGuard(s.Cond); ok && s.Else == nil {
-			if w.walkStmt(s.Body, st) {
-				// The nil-guard path continues with no section open.
-				st.live[key] = 0
-			}
-			return false
-		}
 		thenSt := st.clone()
 		tThen := w.walkStmt(s.Body, thenSt)
 		elseSt := st.clone()
@@ -532,33 +522,6 @@ func (w *guardWalker) releaserArgs(call *ast.CallExpr) []string {
 		}
 	}
 	return keys
-}
-
-// nilCheckedGuard matches the `<guard> != nil` condition idiom.
-func (w *guardWalker) nilCheckedGuard(cond ast.Expr) (string, bool) {
-	be, ok := ast.Unparen(cond).(*ast.BinaryExpr)
-	if !ok || be.Op != token.NEQ {
-		return "", false
-	}
-	var guardSide ast.Expr
-	if isNilIdent(be.Y) {
-		guardSide = be.X
-	} else if isNilIdent(be.X) {
-		guardSide = be.Y
-	} else {
-		return "", false
-	}
-	tv, ok := w.pkg.Info.Types[guardSide]
-	if !ok || !isGuardType(tv.Type, w.bf.guardType) {
-		return "", false
-	}
-	key := exprKey(guardSide)
-	return key, key != ""
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	return ok && id.Name == "nil"
 }
 
 // exprKey canonicalizes simple guard expressions (g, q.g) for state

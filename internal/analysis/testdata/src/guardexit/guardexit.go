@@ -99,3 +99,71 @@ func forgetProduced(dom reclaim.Domain, empty bool) {
 	}
 	g.Exit()
 }
+
+// The reclaim seam: Pool.Enter opens a section and returns its guard
+// (nil for a nil pool), Pool.Exit closes it. Both reach the guard's own
+// Enter/Exit through an outlined helper, so the analyzer sees them only
+// through transitive producer/releaser summaries.
+
+// seamDeferred is clean: the deferred Exit covers every return path.
+func seamDeferred(p *reclaim.Pool, work []int) int {
+	g := p.Enter()
+	defer p.Exit(g)
+	sum := 0
+	for _, w := range work {
+		sum += w
+	}
+	return sum
+}
+
+func seamMissingExit(p *reclaim.Pool, empty bool) {
+	g := p.Enter()
+	if empty {
+		return // want "guard g may still be in a section on this return path"
+	}
+	p.Exit(g)
+}
+
+func seamParksWhileOpen(p *reclaim.Pool, ch chan int) int {
+	g := p.Enter()
+	defer p.Exit(g)
+	return <-ch // want "channel receive may park while guard g is live"
+}
+
+func seamLocksWhileOpen(p *reclaim.Pool, mu *sync.Mutex) {
+	g := p.Enter()
+	mu.Lock() // want "Lock may park while guard g is live"
+	mu.Unlock()
+	p.Exit(g)
+}
+
+// seamExitBeforePark is clean: the dual structures' shape, which closes
+// the section early on the one path that parks and lets a deferred
+// closure close it (a no-op on the nil guard) everywhere else.
+func seamExitBeforePark(p *reclaim.Pool, ch chan int, wait bool) int {
+	g := p.Enter()
+	defer func() { p.Exit(g) }()
+	if !wait {
+		return 0
+	}
+	p.Exit(g)
+	g = nil
+	return <-ch
+}
+
+// seamReopen is clean: one section per loop iteration, each closed
+// before the next opens (the elimination queue's enqueue).
+func seamReopen(p *reclaim.Pool, tries int) {
+	for i := 0; i < tries; i++ {
+		g := p.Enter()
+		p.Exit(g)
+	}
+}
+
+func seamReopenLeaks(p *reclaim.Pool, tries int) {
+	var g reclaim.Guard
+	for i := 0; i < tries; i++ { // want "guard g re-enters across loop iterations without a matching Exit"
+		g = p.Enter()
+	}
+	p.Exit(g)
+}

@@ -2,6 +2,7 @@ package park
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,8 +105,15 @@ func TestLotWithdraw(t *testing.T) {
 
 // TestLotNoLostWakeupUnderChurn drives the enrol/re-check/park/cancel
 // protocol from many goroutines against a token bucket: every deposited
-// token must eventually be consumed even when waiters cancel concurrently
-// with wakers (the Withdraw-false ⇒ forward rule).
+// token must be consumed even when waiters cancel concurrently with
+// wakers (the Withdraw-false ⇒ forward rule). Each worker consumes
+// exactly its share; the odd ones wait under deadlines short enough to
+// expire mid-park and retry, the even ones wait without one. A lost
+// wakeup leaves a token in the bucket and, once no impatient worker is
+// left to stumble on it, a patient one parked for good: the oracle is
+// that every worker returns with the bucket empty, and `go test`'s
+// timeout is the hang detector — no wall-clock deadline stands in for
+// the property, so a slow box cannot fail it.
 func TestLotNoLostWakeupUnderChurn(t *testing.T) {
 	var l Lot
 	var bucket atomic.Int64
@@ -127,27 +135,33 @@ func TestLotNoLostWakeupUnderChurn(t *testing.T) {
 				return true
 			}
 			err := p.Park(ctx)
-			removed := l.Withdraw(p)
-			if err != nil {
+			if removed := l.Withdraw(p); err != nil {
 				if !removed {
 					l.WakeOne() // our wakeup is in flight: forward it
 				}
 				return false
 			}
-			_ = removed
 		}
 	}
 	var wg sync.WaitGroup
-	var got atomic.Int64
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
+	var cancelled atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				if take(ctx) {
-					got.Add(1)
+			attempt := func(r int) bool {
+				if w%2 == 0 {
+					return take(context.Background())
+				}
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+r%8)*5*time.Microsecond)
+				defer cancel()
+				return take(ctx)
+			}
+			for r := 0; r < rounds; {
+				if attempt(r) {
+					r++
+				} else {
+					cancelled.Add(1)
 				}
 			}
 		}()
@@ -156,11 +170,18 @@ func TestLotNoLostWakeupUnderChurn(t *testing.T) {
 	for i := 0; i < tokens; i++ {
 		bucket.Add(1)
 		l.WakeOne()
+		// Deposit in small bursts and let each drain, so that workers
+		// keep parking — and the short deadlines keep expiring — between
+		// bursts instead of everything resolving on the fast path.
+		for i%4 == 3 && bucket.Load() > 0 {
+			runtime.Gosched()
+		}
 	}
 	wg.Wait()
-	if got.Load() != tokens {
-		t.Fatalf("consumed %d of %d tokens (lost wakeup or lost token)", got.Load(), tokens)
+	if n := bucket.Load(); n != 0 {
+		t.Fatalf("%d of %d tokens left in the bucket after every worker took its share", n, tokens)
 	}
+	t.Logf("%d waits cancelled mid-protocol", cancelled.Load())
 }
 
 // TestLotReleasesPoppedPermits is the regression test for the stale-slot

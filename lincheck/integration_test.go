@@ -11,6 +11,7 @@ import (
 	"github.com/cds-suite/cds/cache"
 	"github.com/cds-suite/cds/catalog"
 	"github.com/cds-suite/cds/dual"
+	"github.com/cds-suite/cds/internal/testprocs"
 	"github.com/cds-suite/cds/internal/xrand"
 	"github.com/cds-suite/cds/lincheck"
 	"github.com/cds-suite/cds/pool"
@@ -46,20 +47,9 @@ const (
 	linValueRange = 4
 )
 
-// needProcs raises GOMAXPROCS to at least 4 for the test's duration, so the
-// concurrency tests record genuinely interleaved histories on any box
-// instead of skipping on a small one.
-func needProcs(t *testing.T) {
-	t.Helper()
-	if prev := runtime.GOMAXPROCS(0); prev < 4 {
-		runtime.GOMAXPROCS(4)
-		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	}
-}
-
 func runWindows(t *testing.T, model lincheck.Model, window func() func(client int, rng *xrand.Rand, rec *lincheck.Recorder)) {
 	t.Helper()
-	needProcs(t)
+	testprocs.AtLeast(t, 4) // genuinely interleaved histories on any box
 	if err := lincheck.Stress(model, linRounds, linClients, window); err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +361,7 @@ func TestLinearizableSyncQueue(t *testing.T) {
 // accepted task ran exactly once, no rejected task ran, and nothing ran
 // before its submission.
 func TestPoolTaskConservation(t *testing.T) {
-	needProcs(t)
+	testprocs.AtLeast(t, 4) // genuinely interleaved histories on any box
 	const (
 		rounds       = 30
 		submitters   = 2

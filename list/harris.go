@@ -64,45 +64,16 @@ func NewHarris[K cmp.Ordered](opts ...Option) *Harris[K] {
 	h.ref.Store(&harrisRef[K]{})
 	s := &Harris[K]{head: h}
 	o := buildOptions(opts)
-	if o.dom != nil {
-		s.mem = reclaim.NewPool(o.dom, 2)
-		if o.recycle {
-			s.nodes = reclaim.NewRecycler(func(n *harrisNode[K]) {
-				var zero K
-				n.key = zero
-				n.ref.Store(nil)
-			})
-		}
+	pool := reclaim.NewPool(o.dom, 2)
+	s.mem = pool
+	if pool != nil && o.recycle {
+		s.nodes = reclaim.NewRecycler(func(n *harrisNode[K]) {
+			var zero K
+			n.key = zero
+			n.ref.Store(nil)
+		})
 	}
 	return s
-}
-
-// acquire returns a guard with its section entered, or nil when the list
-// runs on plain GC reclamation.
-func (s *Harris[K]) acquire() reclaim.Guard {
-	if s.mem == nil {
-		return nil
-	}
-	g := s.mem.Get()
-	g.Enter()
-	return g
-}
-
-func (s *Harris[K]) release(g reclaim.Guard) {
-	if g == nil {
-		return
-	}
-	g.Exit()
-	s.mem.Put(g)
-}
-
-// retire hands a successfully unlinked node to the guard's domain (noop
-// under GC, where the unlinked node is simply garbage).
-func (s *Harris[K]) retire(g reclaim.Guard, n *harrisNode[K]) {
-	if g == nil {
-		return
-	}
-	reclaim.Retire(g, s.nodes, n)
 }
 
 // find returns (pred, predRef, curr) such that predRef was loaded from
@@ -145,7 +116,7 @@ retry:
 					continue retry
 				}
 				predRef = newRef
-				s.retire(g, curr)
+				reclaim.Retire(g, s.nodes, curr)
 				curr = currRef.next
 				continue
 			}
@@ -163,8 +134,8 @@ retry:
 
 // Add inserts k, reporting false if it was already present.
 func (s *Harris[K]) Add(k K) bool {
-	g := s.acquire()
-	defer s.release(g)
+	g := s.mem.Enter()
+	defer s.mem.Exit(g)
 	var b contend.Backoff
 	var n *harrisNode[K] // lazily prepared insert node, reused across retries
 	for {
@@ -192,8 +163,8 @@ func (s *Harris[K]) Add(k K) bool {
 
 // Remove deletes k, reporting false if it was absent.
 func (s *Harris[K]) Remove(k K) bool {
-	g := s.acquire()
-	defer s.release(g)
+	g := s.mem.Enter()
+	defer s.mem.Exit(g)
 	var b contend.Backoff
 	for {
 		pred, predRef, curr := s.find(g, k)
@@ -217,7 +188,7 @@ func (s *Harris[K]) Remove(k K) bool {
 		// Physical delete is best-effort; find() helps later if this
 		// fails, and whoever's unlink CAS succeeds does the retiring.
 		if pred.ref.CompareAndSwap(predRef, &harrisRef[K]{next: currRef.next}) {
-			s.retire(g, curr)
+			reclaim.Retire(g, s.nodes, curr)
 		}
 		return true
 	}
@@ -227,8 +198,8 @@ func (s *Harris[K]) Remove(k K) bool {
 // traversal, no helping, mark checked on the candidate); under HP it runs
 // the protected find, whose helping makes it lock-free instead.
 func (s *Harris[K]) Contains(k K) bool {
-	g := s.acquire()
-	defer s.release(g)
+	g := s.mem.Enter()
+	defer s.mem.Exit(g)
 	if g != nil && g.Protects() {
 		_, _, curr := s.find(g, k)
 		return curr != nil && curr.key == k
@@ -247,8 +218,8 @@ func (s *Harris[K]) Len() int {
 	if s.nodes != nil {
 		return int(s.size.Load())
 	}
-	g := s.acquire()
-	defer s.release(g)
+	g := s.mem.Enter()
+	defer s.mem.Exit(g)
 	n := 0
 	for curr := s.head.ref.Load().next; curr != nil; {
 		ref := curr.ref.Load()

@@ -15,7 +15,8 @@ type options struct {
 // reclaim.NewHP) to the list: physically unlinked nodes are retired
 // through it instead of being left to the garbage collector, and
 // traversals protect their (pred, curr) window per the domain's protocol.
-// The default is the zero-cost GC path.
+// Without it, or with reclaim.NewGC(), the same code runs on a nil guard
+// and unlinked nodes are simply garbage.
 func WithReclaim(d reclaim.Domain) Option {
 	return func(o *options) { o.dom = d }
 }
@@ -31,12 +32,6 @@ func buildOptions(opts []Option) options {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.dom != nil && !o.dom.Deferred() {
-		o.dom = nil // explicit GC domain: same as the default fast path
-	}
-	if o.dom == nil {
-		o.recycle = false
 	}
 	return o
 }

@@ -1,13 +1,10 @@
 package queue
 
-import (
-	"github.com/cds-suite/cds/contend"
-	"github.com/cds-suite/cds/reclaim"
-)
+import "github.com/cds-suite/cds/contend"
 
 // elimEnqAttempts bounds how many direct CAS attempts an Elimination
-// enqueue makes before offering its value to the handoff array. One failed
-// attempt already signals tail contention; a couple more keep the fast
+// enqueue loses before offering its value to the handoff array. One failed
+// attempt already signals tail contention; a couple more keep the direct
 // path dominant when contention is transient.
 const elimEnqAttempts = 3
 
@@ -47,186 +44,52 @@ type Elimination[T any] struct {
 // with the given handoff-array width and per-offer spin budget. Values
 // <= 0 select the contend defaults (width 8, 128 spins). WithReclaim and
 // WithRecycling configure the backing queue's memory reclamation; values
-// eliminated through the handoff array never materialise a node at all.
+// eliminated through the handoff array never publish a node.
 func NewElimination[T any](width, spins int, opts ...Option) *Elimination[T] {
 	q := &Elimination[T]{arr: contend.NewHandoffArray[T](width, spins)}
-	q.q.initReclaim(buildOptions(opts))
-	dummy := &msNode[T]{}
-	q.q.head.Store(dummy)
-	q.q.tail.Store(dummy)
+	q.q.init(buildOptions(opts))
 	return q
 }
 
 // Enqueue adds v at the tail, or hands it directly to a dequeuer that
 // caught the queue empty.
 func (q *Elimination[T]) Enqueue(v T) {
-	if q.q.mem == nil {
-		q.enqueueFast(v)
-		return
-	}
 	n := q.q.nodes.Get()
 	n.value = v
-	g := q.q.mem.Get()
 	for {
-		g.Enter()
-		if q.tryEnqueueAttempts(g, n) {
-			g.Exit()
-			q.q.mem.Put(g)
+		g := q.q.mem.Enter()
+		linked := q.q.tryEnqueue(g, n, elimEnqAttempts)
+		q.q.mem.Exit(g) // do not stay pinned across the handoff spin
+		if linked {
 			return
-		}
-		g.Exit() // do not stay pinned across the handoff spin
-		if q.arr.TryGive(v) {
-			q.q.nodes.Put(n) // never published; straight back to the pool
-			q.q.mem.Put(g)
-			return
-		}
-	}
-}
-
-func (q *Elimination[T]) enqueueFast(v T) {
-	n := &msNode[T]{value: v}
-	for {
-		// Bounded direct attempts on the queue (the MS protocol).
-		for attempt := 0; attempt < elimEnqAttempts; attempt++ {
-			tail := q.q.tail.Load()
-			next := tail.next.Load()
-			if tail != q.q.tail.Load() {
-				continue // tail moved under us; re-read
-			}
-			if next != nil {
-				// Tail is lagging: help swing it, then retry.
-				q.q.tail.CompareAndSwap(tail, next)
-				continue
-			}
-			if tail.next.CompareAndSwap(nil, n) {
-				// Linearized. Swinging the tail may fail if someone helped.
-				q.q.tail.CompareAndSwap(tail, n)
-				return
-			}
 		}
 		// Contention: back off into the handoff array. A successful give
 		// means an empty-queue dequeuer consumed v; the pair is linearized
 		// at its validation instant.
 		if q.arr.TryGive(v) {
+			q.q.nodes.Put(n) // never published; straight back to the pool
 			return
 		}
 	}
 }
 
-// tryEnqueueAttempts makes the bounded guarded MS attempts, reporting
-// whether n was linked. The caller holds g's section.
-func (q *Elimination[T]) tryEnqueueAttempts(g reclaim.Guard, n *msNode[T]) bool {
-	for attempt := 0; attempt < elimEnqAttempts; attempt++ {
-		tail := reclaim.Load(g, 0, &q.q.tail)
-		next := tail.next.Load()
-		if tail != q.q.tail.Load() {
-			continue
-		}
-		if next != nil {
-			q.q.tail.CompareAndSwap(tail, next)
-			continue
-		}
-		if tail.next.CompareAndSwap(nil, n) {
-			q.q.tail.CompareAndSwap(tail, n)
-			if q.q.nodes != nil {
-				q.q.size.Add(1)
-			}
-			return true
-		}
-	}
-	return false
-}
-
 // TryDequeue removes and returns the head element; ok is false if the
 // queue was observed empty and no enqueue could be eliminated against.
 func (q *Elimination[T]) TryDequeue() (v T, ok bool) {
-	if q.q.mem == nil {
-		return q.tryDequeueFast()
+	g := q.q.mem.Enter()
+	v, ok, head := q.q.tryDequeue(g)
+	if head != nil {
+		// Empty. Take a pending enqueue if the queue provably stays empty
+		// through the handoff: head is still protected in slot 0, so it
+		// cannot have been reused, and head==head ∧ head.next==nil at
+		// validation time rules out any interleaved enqueue. A failed
+		// take leaves the dequeue linearized empty at tryDequeue's loads.
+		v, ok = q.arr.TryTake(func() bool {
+			return q.q.head.Load() == head && head.next.Load() == nil
+		})
 	}
-	g := q.q.mem.Get()
-	g.Enter()
-	v, ok = q.tryDequeueGuarded(g)
-	g.Exit()
-	q.q.mem.Put(g)
+	q.q.mem.Exit(g)
 	return v, ok
-}
-
-func (q *Elimination[T]) tryDequeueFast() (v T, ok bool) {
-	var b contend.Backoff
-	for {
-		head := q.q.head.Load()
-		tail := q.q.tail.Load()
-		next := head.next.Load()
-		if head != q.q.head.Load() {
-			continue
-		}
-		if head == tail {
-			if next == nil {
-				// Empty. Take a pending enqueue if the queue provably stays
-				// empty through the handoff: head pointers advance through
-				// fresh nodes only, so head==head ∧ head.next==nil at
-				// validation time rules out any interleaved enqueue.
-				if v, ok = q.arr.TryTake(func() bool {
-					return q.q.head.Load() == head && head.next.Load() == nil
-				}); ok {
-					return v, true
-				}
-				return v, false // linearized empty at the loads above
-			}
-			// Tail lagging behind a completed enqueue: help it.
-			q.q.tail.CompareAndSwap(tail, next)
-			continue
-		}
-		val := next.value
-		if q.q.head.CompareAndSwap(head, next) {
-			return val, true
-		}
-		// Non-empty contention: elimination cannot help a dequeue here
-		// (pairing needs an empty queue), so back off as plain MS does.
-		b.Pause()
-	}
-}
-
-// tryDequeueGuarded mirrors tryDequeueFast under a guard: head in slot 0,
-// next in slot 1 (Michael's discipline, see MS.tryDequeue), with the head
-// kept protected across the handoff validation so its nil-next re-check
-// never touches reused memory. The caller holds g's section.
-func (q *Elimination[T]) tryDequeueGuarded(g reclaim.Guard) (v T, ok bool) {
-	var b contend.Backoff
-	for {
-		head := reclaim.Load(g, 0, &q.q.head)
-		tail := q.q.tail.Load()
-		next := head.next.Load()
-		if g.Protects() {
-			g.Protect(1, next)
-			if q.q.head.Load() != head {
-				continue
-			}
-		} else if head != q.q.head.Load() {
-			continue
-		}
-		if head == tail {
-			if next == nil {
-				if v, ok = q.arr.TryTake(func() bool {
-					return q.q.head.Load() == head && head.next.Load() == nil
-				}); ok {
-					return v, true
-				}
-				return v, false
-			}
-			q.q.tail.CompareAndSwap(tail, next)
-			continue
-		}
-		val := next.value
-		if q.q.head.CompareAndSwap(head, next) {
-			if q.q.nodes != nil {
-				q.q.size.Add(-1)
-			}
-			reclaim.Retire(g, q.q.nodes, head)
-			return val, true
-		}
-		b.Pause()
-	}
 }
 
 // Len counts elements by traversing from the head (see MS.Len caveats);

@@ -50,36 +50,25 @@ func NewLCRQ[T any](opts ...Option) *LCRQ[T] {
 
 // Enqueue adds v at the tail.
 func (q *LCRQ[T]) Enqueue(v T) {
-	if q.mem == nil {
-		q.enqueue(nil, v)
-		return
-	}
-	g := q.mem.Get()
-	g.Enter()
+	g := q.mem.Enter()
 	q.enqueue(g, v)
-	g.Exit()
-	q.mem.Put(g)
+	q.mem.Exit(g)
 }
 
 // TryDequeue removes and returns the head element; ok is false if the
 // queue was observed empty.
 func (q *LCRQ[T]) TryDequeue() (v T, ok bool) {
-	if q.mem == nil {
-		return q.dequeue(nil)
-	}
-	g := q.mem.Get()
-	g.Enter()
+	g := q.mem.Enter()
 	v, ok = q.dequeue(g)
-	g.Exit()
-	q.mem.Put(g)
+	q.mem.Exit(g)
 	return v, ok
 }
 
 // dequeue is the shared multi-consumer dequeue. The caller holds g's
-// section (g may be nil on the GC fast path).
+// section.
 func (q *LCRQ[T]) dequeue(g reclaim.Guard) (v T, ok bool) {
 	for {
-		seg := loadSeg(g, &q.head)
+		seg := reclaim.Load(g, 0, &q.head)
 		// Read deq before enq: the dequeue cursor is monotone, so if the
 		// enq load then shows no slot beyond h, there was an instant
 		// during the enq load at which every published slot was claimed.

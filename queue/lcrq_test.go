@@ -244,8 +244,7 @@ func TestLCRQStalledConsumerPendingBounded(t *testing.T) {
 	q := NewLCRQ[int](WithReclaim(d), WithRecycling(), WithSegmentSize(4))
 
 	// The stalled consumer: protect the current head and go quiet.
-	g := q.mem.Get()
-	g.Enter()
+	g := q.mem.Enter()
 	stalled := reclaim.Load(g, 0, &q.head)
 	_ = stalled
 
@@ -262,8 +261,7 @@ func TestLCRQStalledConsumerPendingBounded(t *testing.T) {
 	}
 
 	// The consumer wakes; everything must now drain to zero.
-	g.Exit()
-	q.mem.Put(g)
+	q.mem.Exit(g)
 	drainReclaim(t, q.mem, d)
 	if s := q.Stats(); s.SegsRetiredPending != 0 {
 		t.Fatalf("SegsRetiredPending = %d after stall released, want 0", s.SegsRetiredPending)

@@ -38,28 +38,17 @@ func NewMPSC[T any](opts ...Option) *MPSC[T] {
 
 // Enqueue adds v at the tail. Safe for any number of concurrent callers.
 func (q *MPSC[T]) Enqueue(v T) {
-	if q.mem == nil {
-		q.enqueue(nil, v)
-		return
-	}
-	g := q.mem.Get()
-	g.Enter()
+	g := q.mem.Enter()
 	q.enqueue(g, v)
-	g.Exit()
-	q.mem.Put(g)
+	q.mem.Exit(g)
 }
 
 // TryDequeue removes and returns the head element; ok is false if the
 // queue was observed empty. Single consumer only.
 func (q *MPSC[T]) TryDequeue() (v T, ok bool) {
-	if q.mem == nil {
-		return q.dequeue(nil)
-	}
-	g := q.mem.Get()
-	g.Enter()
+	g := q.mem.Enter()
 	v, ok = q.dequeue(g)
-	g.Exit()
-	q.mem.Put(g)
+	q.mem.Exit(g)
 	return v, ok
 }
 
@@ -68,7 +57,7 @@ func (q *MPSC[T]) TryDequeue() (v T, ok bool) {
 // abandon ahead of us.
 func (q *MPSC[T]) dequeue(g reclaim.Guard) (v T, ok bool) {
 	for {
-		seg := loadSeg(g, &q.head)
+		seg := reclaim.Load(g, 0, &q.head)
 		h := seg.deq.Load() // sole writer: ourselves
 		e := seg.enq.Load()
 		if h >= min(segCursor(e), q.size) {

@@ -47,19 +47,17 @@ type msNode[T any] struct {
 // WithRecycling for the memory-reclamation options.
 func NewMS[T any](opts ...Option) *MS[T] {
 	q := &MS[T]{}
-	q.initReclaim(buildOptions(opts))
-	dummy := &msNode[T]{}
-	q.head.Store(dummy)
-	q.tail.Store(dummy)
+	q.init(buildOptions(opts))
 	return q
 }
 
-func (q *MS[T]) initReclaim(o options) {
-	if o.dom == nil {
-		return
-	}
-	q.mem = reclaim.NewPool(o.dom, 2)
-	if o.recycle {
+func (q *MS[T]) init(o options) {
+	dummy := &msNode[T]{}
+	q.head.Store(dummy)
+	q.tail.Store(dummy)
+	pool := reclaim.NewPool(o.dom, 2)
+	q.mem = pool
+	if pool != nil && o.recycle {
 		q.nodes = reclaim.NewRecycler(func(n *msNode[T]) {
 			var zero T
 			n.value = zero
@@ -72,21 +70,22 @@ func (q *MS[T]) initReclaim(o options) {
 func (q *MS[T]) Enqueue(v T) {
 	n := q.nodes.Get()
 	n.value = v
-	if q.mem == nil {
-		q.enqueueFast(n)
-		return
+	g := q.mem.Enter()
+	var b contend.Backoff
+	for !q.tryEnqueue(g, n, 1) {
+		b.Pause()
 	}
-	g := q.mem.Get()
-	g.Enter()
-	q.enqueue(g, n)
-	g.Exit()
-	q.mem.Put(g)
+	q.mem.Exit(g)
 }
 
-func (q *MS[T]) enqueueFast(n *msNode[T]) {
-	var b contend.Backoff
-	for {
-		tail := q.tail.Load()
+// tryEnqueue runs the enqueue protocol until n is linked (true) or the
+// linking CAS has lost attempts times (false). Helping a lagging tail and
+// re-reading a moved one are not attempts: each proves another enqueue
+// progressed. The tail is load-protected in slot 0 before its next
+// pointer is touched. The caller holds g's section.
+func (q *MS[T]) tryEnqueue(g reclaim.Guard, n *msNode[T], attempts int) bool {
+	for attempts > 0 {
+		tail := reclaim.Load(g, 0, &q.tail)
 		next := tail.next.Load()
 		if tail != q.tail.Load() {
 			continue // tail moved under us; re-read
@@ -99,63 +98,49 @@ func (q *MS[T]) enqueueFast(n *msNode[T]) {
 		if tail.next.CompareAndSwap(nil, n) {
 			// Linearized. Swinging the tail may fail if someone helped.
 			q.tail.CompareAndSwap(tail, n)
-			return
-		}
-		b.Pause()
-	}
-}
-
-// enqueue is the guarded enqueue: the tail is load-protected in slot 0
-// before its next pointer is touched. The caller holds g's section.
-func (q *MS[T]) enqueue(g reclaim.Guard, n *msNode[T]) {
-	var b contend.Backoff
-	for {
-		tail := reclaim.Load(g, 0, &q.tail)
-		next := tail.next.Load()
-		if tail != q.tail.Load() {
-			continue
-		}
-		if next != nil {
-			q.tail.CompareAndSwap(tail, next)
-			continue
-		}
-		if tail.next.CompareAndSwap(nil, n) {
-			q.tail.CompareAndSwap(tail, n)
 			if q.nodes != nil {
 				q.size.Add(1)
 			}
-			return
+			return true
 		}
-		b.Pause()
+		attempts--
 	}
+	return false
 }
 
 // TryDequeue removes and returns the head element; ok is false if the queue
 // was observed empty.
 func (q *MS[T]) TryDequeue() (v T, ok bool) {
-	if q.mem == nil {
-		return q.tryDequeueFast()
-	}
-	g := q.mem.Get()
-	g.Enter()
-	v, ok = q.tryDequeue(g)
-	g.Exit()
-	q.mem.Put(g)
+	g := q.mem.Enter()
+	v, ok, _ = q.tryDequeue(g)
+	q.mem.Exit(g)
 	return v, ok
 }
 
-func (q *MS[T]) tryDequeueFast() (v T, ok bool) {
+// tryDequeue is the dequeue protocol: head in slot 0, next in slot 1, with
+// the head re-check that orders the slot-1 publication before any possible
+// retirement of next. When the queue is empty it also returns the head it
+// observed empty, still protected in slot 0, for Elimination's handoff
+// validation. The caller holds g's section.
+func (q *MS[T]) tryDequeue(g reclaim.Guard) (v T, ok bool, empty *msNode[T]) {
+	hp := g != nil && g.Protects()
 	var b contend.Backoff
 	for {
-		head := q.head.Load()
+		head := reclaim.Load(g, 0, &q.head)
 		tail := q.tail.Load()
 		next := head.next.Load()
+		if hp {
+			g.Protect(1, next)
+		}
+		// next is retired only after the head has moved past it; an
+		// unchanged head therefore proves our publication preceded any
+		// retirement, so the retirer's scan will see slot 1.
 		if head != q.head.Load() {
 			continue
 		}
 		if head == tail {
 			if next == nil {
-				return v, false // empty
+				return v, false, head // empty
 			}
 			// Tail lagging behind a completed enqueue: help it.
 			q.tail.CompareAndSwap(tail, next)
@@ -166,47 +151,12 @@ func (q *MS[T]) tryDequeueFast() (v T, ok bool) {
 		// so this read can never be torn.
 		val := next.value
 		if q.head.CompareAndSwap(head, next) {
-			return val, true
-		}
-		b.Pause()
-	}
-}
-
-// tryDequeue is the guarded dequeue: head in slot 0, next in slot 1, with
-// the head re-check that orders the slot-1 publication before any possible
-// retirement of next. The caller holds g's section.
-func (q *MS[T]) tryDequeue(g reclaim.Guard) (v T, ok bool) {
-	var b contend.Backoff
-	for {
-		head := reclaim.Load(g, 0, &q.head)
-		tail := q.tail.Load()
-		next := head.next.Load()
-		if g.Protects() {
-			g.Protect(1, next)
-			// next is retired only after the head has moved past it; an
-			// unchanged head therefore proves our publication preceded
-			// any retirement, so the retirer's scan will see slot 1.
-			if q.head.Load() != head {
-				continue
-			}
-		} else if head != q.head.Load() {
-			continue
-		}
-		if head == tail {
-			if next == nil {
-				return v, false // empty
-			}
-			q.tail.CompareAndSwap(tail, next)
-			continue
-		}
-		val := next.value
-		if q.head.CompareAndSwap(head, next) {
 			if q.nodes != nil {
 				q.size.Add(-1)
 			}
 			// The old dummy is unreachable from the queue; retire it.
 			reclaim.Retire(g, q.nodes, head)
-			return val, true
+			return val, true, nil
 		}
 		b.Pause()
 	}

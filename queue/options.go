@@ -15,7 +15,8 @@ type options struct {
 // reclaim.NewHP) to the queue: dequeued dummy nodes are retired through it
 // instead of being left to the garbage collector, and operations protect
 // the head/tail/next window per the domain's protocol (Michael's
-// two-hazard scheme under HP). The default is the zero-cost GC path.
+// two-hazard scheme under HP). Without it, or with reclaim.NewGC(), the
+// same code runs on a nil guard and dequeued nodes are simply garbage.
 func WithReclaim(d reclaim.Domain) Option {
 	return func(o *options) { o.dom = d }
 }
@@ -40,12 +41,6 @@ func buildOptions(opts []Option) options {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.dom != nil && !o.dom.Deferred() {
-		o.dom = nil // explicit GC domain: same as the default fast path
-	}
-	if o.dom == nil {
-		o.recycle = false
 	}
 	return o
 }

@@ -186,11 +186,10 @@ func (q *segCore[T]) init(o options) {
 		n = defaultSegSize
 	}
 	q.size = uint64(pow2.RoundUp(n, minSegSize))
-	if o.dom != nil {
-		q.mem = reclaim.NewPool(o.dom, 1)
-		if o.recycle {
-			q.segs = reclaim.NewRecycler(resetSegment[T])
-		}
+	pool := reclaim.NewPool(o.dom, 1)
+	q.mem = pool
+	if pool != nil && o.recycle {
+		q.segs = reclaim.NewRecycler(resetSegment[T])
 	}
 	seed := q.newSegment()
 	q.stats.alloc.Add(1)
@@ -207,25 +206,15 @@ func (q *segCore[T]) newSegment() *segment[T] {
 	return s
 }
 
-// loadSeg reads a segment pointer for dereferencing: a plain load on the
-// GC fast path (g == nil), the publish-and-revalidate dance under a
-// reclamation guard. Hazard slot 0 is the only slot either operation needs
-// — the advance paths compare successor pointers but never dereference
-// them until the next iteration re-protects.
-func loadSeg[T any](g reclaim.Guard, src *atomic.Pointer[segment[T]]) *segment[T] {
-	if g == nil {
-		return src.Load()
-	}
-	return reclaim.Load(g, 0, src)
-}
-
 // enqueue is the shared multi-producer enqueue. The caller holds g's
-// section (g may be nil on the GC fast path).
+// section. Hazard slot 0 is the only slot either operation needs — the
+// advance paths compare successor pointers but never dereference them
+// until the next iteration re-protects.
 func (q *segCore[T]) enqueue(g reclaim.Guard, v T) {
 	var b contend.Backoff
 	fails := 0
 	for {
-		seg := loadSeg(g, &q.tail)
+		seg := reclaim.Load(g, 0, &q.tail)
 		if next := seg.next.Load(); next != nil {
 			// Tail lagging behind a completed append: help swing it.
 			q.tail.CompareAndSwap(seg, next)
@@ -313,7 +302,7 @@ func (q *segCore[T]) advanceHead(g reclaim.Guard, seg, next *segment[T]) {
 func (q *segCore[T]) retire(g reclaim.Guard, s *segment[T]) {
 	q.stats.retired.Add(1)
 	if g == nil {
-		return // GC domain: the collector owns it now
+		return // plain GC: the collector owns it now
 	}
 	freed := &q.stats.freed
 	if segs := q.segs; segs != nil {

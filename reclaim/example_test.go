@@ -7,9 +7,11 @@ import (
 	"github.com/cds-suite/cds/reclaim"
 )
 
-// The canonical guard bracket: pin a section, load-protect a shared
-// pointer, and retire an unlinked object whose free callback runs only
-// once no guard can reach it.
+// The canonical bracket: open a section on the structure's pool,
+// load-protect a shared pointer, and retire an unlinked object whose free
+// callback runs only once no guard can reach it. Over reclaim.NewGC() (or
+// no domain) pool and g are nil and the same code is a plain load and a
+// dropped node.
 func Example() {
 	type node struct{ v int }
 
@@ -20,23 +22,23 @@ func Example() {
 	head.Store(&node{v: 1})
 
 	pool := reclaim.NewPool(d, 1)
-	g := pool.Get()
-	g.Enter()
+	g := pool.Enter()
 	n := reclaim.Load(g, 0, &head) // safe to dereference inside the section
 	fmt.Println("read:", n.v)
-	g.Exit()
+	pool.Exit(g)
 
 	// A writer unlinks the node and retires it.
 	old := head.Swap(&node{v: 2})
-	g.Enter()
+	g = pool.Enter()
 	g.Retire(old, func() { fmt.Println("freed:", old.v) })
-	g.Exit()
+	pool.Exit(g)
 
 	// Drive retirement traffic until the grace period passes.
+	g = pool.Enter()
 	for i := 0; i < 8 && d.Reclaimed() == 0; i++ {
 		g.Retire(&node{}, func() {})
 	}
-	pool.Put(g)
+	pool.Exit(g)
 
 	fmt.Println("reclaimed:", d.Reclaimed() > 0)
 	// Output:

@@ -9,9 +9,14 @@ import (
 	"github.com/cds-suite/cds/internal/pad"
 )
 
-// Pool amortises guard registration across operations: a structure keeps
-// one Pool and brackets each operation with Get/Put. Handing a guard to
-// at most one goroutine at a time is exactly the owner-only discipline
+// Pool amortises guard registration across operations and is the one
+// place a structure's "plain GC or a real domain?" question is answered:
+// NewPool returns a nil *Pool for a nil or non-deferring domain, Enter on
+// a nil pool yields a nil Guard, and Load, Retire and Exit accept a nil
+// guard (plain load, drop, no-op). A structure therefore keeps one
+// possibly-nil Pool, brackets each operation with Enter/Exit, and writes
+// each algorithm once against a possibly-nil guard. Handing a guard to at
+// most one goroutine at a time is exactly the owner-only discipline
 // guards require.
 //
 // The cache is a fixed ring of padded TryLock slots rather than a
@@ -20,21 +25,16 @@ import (
 // GC pressure — or deliberately, as sync.Pool does under the race
 // detector — leaks registrations faster than they can be torn down,
 // growing every domain scan. Here the registry is bounded by
-// construction: a Put that finds the ring full releases the guard
+// construction: an Exit that finds the ring full releases the guard
 // instead of parking it.
 //
 // Slot selection hashes the caller's stack address, which is stable per
 // goroutine, so a worker tends to reacquire the guard (and the warmed
 // hazard slots) it used last.
-//
-// For the GC domain Get returns a shared stateless guard without touching
-// the ring at all, keeping the default path allocation- and
-// contention-free.
 type Pool struct {
-	d      Domain
-	slots  int
-	shared Guard // non-nil only for the stateless GC guard
-	cache  []pslot
+	d     Domain
+	slots int
+	cache []pslot
 }
 
 type pslot struct {
@@ -44,36 +44,33 @@ type pslot struct {
 }
 
 // NewPool returns a guard pool over d; guards are created with the given
-// hazard-slot capacity.
+// hazard-slot capacity. It returns nil when d is nil or does not defer
+// (the GC domain): there is nothing to register, pin or retire, and the
+// nil pool's Enter hands out the nil guard that says so.
 func NewPool(d Domain, slots int) *Pool {
-	p := &Pool{d: d, slots: slots}
-	if !d.Deferred() {
-		// The GC guard carries no state, so one instance serves everyone.
-		p.shared = d.NewGuard(slots)
-		return p
+	if d == nil || !d.Deferred() {
+		return nil
 	}
 	n := 4
 	for n < 2*runtime.GOMAXPROCS(0) {
 		n *= 2
 	}
-	p.cache = make([]pslot, n)
-	return p
+	return &Pool{d: d, slots: slots, cache: make([]pslot, n)}
 }
 
-// Domain returns the pool's backing domain (for gauges and reports).
-func (p *Pool) Domain() Domain { return p.d }
-
-// home returns this goroutine's preferred ring index.
-func (p *Pool) home() int {
-	var probe byte
-	return int((uintptr(unsafe.Pointer(&probe)) >> 9) & uintptr(len(p.cache)-1))
-}
-
-// Get returns a guard owned exclusively by the caller until Put.
-func (p *Pool) Get() Guard {
-	if p.shared != nil {
-		return p.shared
+// Enter checks a guard out of the pool and opens its section; the caller
+// owns it exclusively until Exit. A nil pool returns a nil guard. Like
+// Exit, Load and Retire it is a nil check in front of an outlined slow
+// path, so that the plain-GC configuration inlines to a compare at every
+// call site.
+func (p *Pool) Enter() Guard {
+	if p == nil {
+		return nil
 	}
+	return p.enter()
+}
+
+func (p *Pool) enter() Guard {
 	mask := len(p.cache) - 1
 	for i, idx := 0, p.home(); i < len(p.cache); i++ {
 		s := &p.cache[(idx+i)&mask]
@@ -82,20 +79,29 @@ func (p *Pool) Get() Guard {
 			s.g = nil
 			s.mu.Unlock()
 			if g != nil {
+				g.Enter()
 				return g
 			}
 		}
 	}
-	return p.d.NewGuard(p.slots)
+	g := p.d.NewGuard(p.slots)
+	g.Enter()
+	return g
 }
 
-// Put parks g for reuse. g must be outside any Enter/Exit section. When
-// the ring is full the guard is released instead, keeping the domain's
-// registration count bounded.
-func (p *Pool) Put(g Guard) {
-	if p.shared != nil {
-		return
+// Exit closes g's section and parks it for reuse; when the ring is full
+// the guard is released instead, keeping the domain's registration count
+// bounded. g must come from p.Enter; a nil g (from a nil pool) is a no-op.
+// Never park the goroutine between Enter and Exit: a pinned epoch stalls
+// the whole domain.
+func (p *Pool) Exit(g Guard) {
+	if g != nil {
+		p.exit(g)
 	}
+}
+
+func (p *Pool) exit(g Guard) {
+	g.Exit()
 	mask := len(p.cache) - 1
 	for i, idx := 0, p.home(); i < len(p.cache); i++ {
 		s := &p.cache[(idx+i)&mask]
@@ -111,6 +117,12 @@ func (p *Pool) Put(g Guard) {
 	g.Release()
 }
 
+// home returns this goroutine's preferred ring index.
+func (p *Pool) home() int {
+	var probe byte
+	return int((uintptr(unsafe.Pointer(&probe)) >> 9) & uintptr(len(p.cache)-1))
+}
+
 // Drain releases every parked guard, handing their buffered retirements
 // back to the domain as orphans, which subsequent retire traffic (or the
 // backend's own drain) reclaims. Retired objects otherwise sit in the
@@ -118,11 +130,8 @@ func (p *Pool) Put(g Guard) {
 // reused, so a structure that must reach zero pending garbage at a
 // quiescent point — teardown, a leak check — drains its pool first.
 // Guards currently checked out are unaffected; the pool remains usable
-// (Get simply registers fresh guards).
+// (Enter simply registers fresh guards).
 func (p *Pool) Drain() {
-	if p.shared != nil {
-		return
-	}
 	for i := range p.cache {
 		s := &p.cache[i]
 		s.mu.Lock()
@@ -140,9 +149,8 @@ func (p *Pool) Drain() {
 // reset and returned to a sync.Pool once the guard's domain declares it
 // unreachable, so the structure's next allocation reuses it instead of
 // growing the heap. Reuse is safe exactly because the domain interposes —
-// under the plain GC domain free callbacks never run, so recycling
-// silently degrades to ordinary allocation (constructors gate the option
-// on Domain.Deferred for this reason).
+// without a deferring domain free callbacks never run, so constructors
+// create a recycler only when NewPool gave them a pool.
 //
 // A nil *Recycler is valid and allocates normally, which lets structures
 // thread one field through both recycled and non-recycled configurations.
@@ -160,11 +168,17 @@ func NewRecycler[T any](reset func(*T)) *Recycler[T] {
 	return &Recycler[T]{reset: reset}
 }
 
-// Get returns a zeroed-for-reuse node, recycled if one is available.
+// Get returns a zeroed-for-reuse node, recycled if one is available. Like
+// the guard helpers, Get and Put are a nil check in front of an outlined
+// slow path: without a recycler they inline to new(T) and to nothing.
 func (r *Recycler[T]) Get() *T {
 	if r == nil {
 		return new(T)
 	}
+	return r.get()
+}
+
+func (r *Recycler[T]) get() *T {
 	if n, ok := r.pool.Get().(*T); ok {
 		r.reuse.Add(1)
 		return n
@@ -176,9 +190,12 @@ func (r *Recycler[T]) Get() *T {
 // give-back path for nodes prepared but then eliminated or found
 // duplicate. Published nodes must go through Retire instead.
 func (r *Recycler[T]) Put(n *T) {
-	if r == nil {
-		return
+	if r != nil {
+		r.put(n)
 	}
+}
+
+func (r *Recycler[T]) put(n *T) {
 	r.reset(n)
 	r.pool.Put(n)
 }
@@ -194,8 +211,16 @@ func (r *Recycler[T]) Reused() int64 {
 // Retire retires n into g; once the domain declares it unreachable it is
 // reset and pooled in r for reuse. With a nil recycler the node is simply
 // dropped to the garbage collector when its time comes (the free callback
-// still runs, so the domain's reclaimed/pending gauges stay live).
+// still runs, so the domain's reclaimed/pending gauges stay live). With a
+// nil guard — the structure runs on plain GC — it does nothing at all:
+// the unlinked node is already garbage and no free callback ever runs.
 func Retire[T any](g Guard, r *Recycler[T], n *T) {
+	if g != nil {
+		retire(g, r, n)
+	}
+}
+
+func retire[T any](g Guard, r *Recycler[T], n *T) {
 	if r == nil {
 		g.Retire(n, func() {})
 		return
@@ -210,8 +235,21 @@ func Retire[T any](g Guard, r *Recycler[T], n *T) {
 // the loaded pointer and re-reads src until both agree, the
 // publish-and-revalidate dance that guarantees any concurrent retirement
 // of the object happened after our publication (so the retirer's scan
-// sees the slot). For non-publishing guards (EBR, GC) it is a plain load.
+// sees the slot). For a nil guard and for non-publishing guards (EBR) it
+// is a plain load.
 func Load[T any](g Guard, slot int, src *atomic.Pointer[T]) *T {
+	if g == nil {
+		// src.Load(), spelled out: the method call costs the inliner six
+		// more nodes, which puts Load over its budget, and an outlined
+		// Load costs the plain-GC structures a call per operation.
+		// atomic.Pointer's only sized field is the pointer word
+		// (TestNilSeam pins the equivalence).
+		return (*T)(atomic.LoadPointer((*unsafe.Pointer)(unsafe.Pointer(src))))
+	}
+	return load(g, slot, src)
+}
+
+func load[T any](g Guard, slot int, src *atomic.Pointer[T]) *T {
 	p := src.Load()
 	if !g.Protects() {
 		return p

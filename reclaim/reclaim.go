@@ -57,9 +57,11 @@ type Guard interface {
 	Release()
 }
 
-// NewGC returns the zero-cost noop domain: Enter/Exit/Protect do nothing
-// and Retire drops the object for Go's garbage collector. It is the
-// default every structure uses when no WithReclaim option is given.
+// NewGC returns the inert domain: Enter/Exit/Protect do nothing, Retire
+// drops the object for Go's garbage collector, and the gauges read zero.
+// It does not defer, so NewPool gives a structure built over it no pool:
+// WithReclaim(NewGC()) is the same structure as no WithReclaim at all.
+// Harnesses pass it to have a Domain to report for the GC configuration.
 func NewGC() Domain { return gcDomain{} }
 
 type gcDomain struct{}

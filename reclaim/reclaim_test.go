@@ -20,21 +20,51 @@ func TestGCDomainIsInert(t *testing.T) {
 	if d.Name() != "gc" {
 		t.Fatalf("Name = %q", d.Name())
 	}
-	p := NewPool(d, 2)
-	g := p.Get()
+	g := d.NewGuard(2)
 	g.Enter()
 	called := false
 	g.Retire(&node{}, func() { called = true })
 	g.Exit()
-	p.Put(g)
 	if called {
 		t.Fatal("GC guard ran a free callback")
 	}
 	if d.Reclaimed() != 0 || d.Pending() != 0 {
 		t.Fatalf("GC gauges = (%d, %d), want (0, 0)", d.Reclaimed(), d.Pending())
 	}
-	if p.Get() != g {
-		t.Fatal("GC pool did not return the shared guard")
+	// An explicit GC domain is the default: neither gets a pool, so both
+	// run the structures on the nil guard.
+	if NewPool(d, 2) != nil || NewPool(nil, 2) != nil {
+		t.Fatal("NewPool returned a pool for a non-deferring domain")
+	}
+}
+
+// TestNilSeam pins the one place "this structure runs on plain GC" is
+// decided: a nil pool hands out the nil guard, and every helper a
+// structure calls with it degrades to the unprotected operation.
+func TestNilSeam(t *testing.T) {
+	var p *Pool
+	g := p.Enter()
+	if g != nil {
+		t.Fatalf("nil pool Enter = %v, want nil guard", g)
+	}
+	p.Exit(g) // must not touch the nil pool
+
+	var src atomic.Pointer[node]
+	if got := Load(g, 0, &src); got != nil {
+		t.Fatalf("Load(nil guard) of empty source = %p", got)
+	}
+	n := &node{v: 7}
+	src.Store(n)
+	if got := Load(g, 1, &src); got != n || got != src.Load() {
+		t.Fatalf("Load(nil guard) = %p, want plain load %p", got, n)
+	}
+
+	resets := 0
+	r := NewRecycler(func(*node) { resets++ })
+	Retire(g, r, n)
+	Retire[node](g, nil, n)
+	if fresh := r.Get(); fresh == n || resets != 0 || r.Reused() != 0 {
+		t.Fatalf("Retire(nil guard) recycled the node (resets %d, reused %d)", resets, r.Reused())
 	}
 }
 
@@ -235,17 +265,14 @@ func TestDomainsNeverFreeReachable(t *testing.T) {
 							return
 						default:
 						}
-						g := pool.Get()
-						g.Enter()
+						g := pool.Enter()
 						p := Load(g, 0, &shared)
-						if p != nil && p.freed.Load() {
+						freed := p != nil && p.freed.Load()
+						pool.Exit(g)
+						if freed {
 							t.Error("reader reached a freed object")
-							g.Exit()
-							pool.Put(g)
 							return
 						}
-						g.Exit()
-						pool.Put(g)
 					}
 				}()
 			}
@@ -253,12 +280,12 @@ func TestDomainsNeverFreeReachable(t *testing.T) {
 				wwg.Add(1)
 				go func() {
 					defer wwg.Done()
-					g := pool.Get()
 					for n := 0; n < 20000; n++ {
+						g := pool.Enter()
 						old := shared.Swap(&node{})
 						g.Retire(old, func() { old.freed.Store(true) })
+						pool.Exit(g)
 					}
-					pool.Put(g)
 				}()
 			}
 			wwg.Wait()

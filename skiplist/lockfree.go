@@ -62,29 +62,8 @@ func NewLockFree[K cmp.Ordered](opts ...Option) *LockFree[K] {
 		h.next[i].Store(&lfRef[K]{})
 	}
 	s := &LockFree[K]{head: h, levels: newLevelGen()}
-	if o := buildOptions(opts); o.dom != nil {
-		s.mem = reclaim.NewPool(o.dom, 2)
-	}
+	s.mem = reclaim.NewPool(buildOptions(opts).dom, 2)
 	return s
-}
-
-// acquire returns a guard with its section entered, or nil when the set
-// runs on plain GC reclamation.
-func (s *LockFree[K]) acquire() reclaim.Guard {
-	if s.mem == nil {
-		return nil
-	}
-	g := s.mem.Get()
-	g.Enter()
-	return g
-}
-
-func (s *LockFree[K]) release(g reclaim.Guard) {
-	if g == nil {
-		return
-	}
-	g.Exit()
-	s.mem.Put(g)
 }
 
 // find locates the per-level windows for k, snipping marked nodes it
@@ -154,8 +133,8 @@ retry:
 
 // Add inserts k, reporting false if it was already present.
 func (s *LockFree[K]) Add(k K) bool {
-	g := s.acquire()
-	defer s.release(g)
+	g := s.mem.Enter()
+	defer s.mem.Exit(g)
 	topLevel := s.levels.next() - 1
 	var b contend.Backoff
 	var preds, succs [maxLevel]*lfNode[K]
@@ -205,8 +184,8 @@ func (s *LockFree[K]) Add(k K) bool {
 
 // Remove deletes k, reporting false if it was absent.
 func (s *LockFree[K]) Remove(k K) bool {
-	g := s.acquire()
-	defer s.release(g)
+	g := s.mem.Enter()
+	defer s.mem.Exit(g)
 	var preds, succs [maxLevel]*lfNode[K]
 	var predRefs [maxLevel]*lfRef[K]
 	if !s.find(g, k, &preds, &succs, &predRefs) {
@@ -236,9 +215,7 @@ func (s *LockFree[K]) Remove(k K) bool {
 			// level-0 marker is the unique logical remover, so the victim
 			// is retired exactly once.
 			s.find(g, k, &preds, &succs, &predRefs)
-			if g != nil {
-				g.Retire(victim, func() {})
-			}
+			reclaim.Retire(g, nil, victim)
 			return true
 		}
 		b.Pause() // lost the marking race; back off before retrying
@@ -249,8 +226,8 @@ func (s *LockFree[K]) Remove(k K) bool {
 // reads through marks without helping. Under HP it runs the protected
 // find instead (lock-free).
 func (s *LockFree[K]) Contains(k K) bool {
-	g := s.acquire()
-	defer s.release(g)
+	g := s.mem.Enter()
+	defer s.mem.Exit(g)
 	if g != nil && g.Protects() {
 		var preds, succs [maxLevel]*lfNode[K]
 		var predRefs [maxLevel]*lfRef[K]

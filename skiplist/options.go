@@ -30,8 +30,5 @@ func buildOptions(opts []Option) options {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	if o.dom != nil && !o.dom.Deferred() {
-		o.dom = nil // explicit GC domain: same as the default fast path
-	}
 	return o
 }

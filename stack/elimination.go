@@ -100,22 +100,7 @@ func (s *Elimination[T]) Push(v T) {
 // observed empty. A pop eliminated against a concurrent push returns that
 // push's value without touching the stack.
 func (s *Elimination[T]) TryPop() (v T, ok bool) {
-	if s.stack.mem == nil {
-		for {
-			head := s.stack.head.Load()
-			if head == nil {
-				return v, false
-			}
-			if s.stack.head.CompareAndSwap(head, head.next) {
-				return head.value, true
-			}
-			if op, okEx := s.visit(elimOp[T]{isPush: false}); okEx && op.isPush {
-				return op.value, true // eliminated against a push
-			}
-		}
-	}
-	g := s.stack.mem.Get()
-	g.Enter()
+	g := s.stack.mem.Enter()
 	for {
 		head := reclaim.Load(g, 0, &s.stack.head)
 		if head == nil {
@@ -134,9 +119,8 @@ func (s *Elimination[T]) TryPop() (v T, ok bool) {
 			break
 		}
 	}
-	g.Exit()
-	s.stack.mem.Put(g)
-	return
+	s.stack.mem.Exit(g)
+	return v, ok
 }
 
 // visit performs one elimination attempt. It reports the exchanged

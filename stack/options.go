@@ -13,7 +13,8 @@ type options struct {
 // WithReclaim attaches a safe-memory-reclamation domain (reclaim.NewEBR,
 // reclaim.NewHP) to the stack: popped nodes are retired through it instead
 // of being left to the garbage collector, and pops protect the head per
-// the domain's protocol. The default is the zero-cost GC path.
+// the domain's protocol. Without it, or with reclaim.NewGC(), the same
+// code runs on a nil guard and popped nodes are simply garbage.
 func WithReclaim(d reclaim.Domain) Option {
 	return func(o *options) { o.dom = d }
 }
@@ -30,12 +31,6 @@ func buildOptions(opts []Option) options {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.dom != nil && !o.dom.Deferred() {
-		o.dom = nil // explicit GC domain: same as the default fast path
-	}
-	if o.dom == nil {
-		o.recycle = false
 	}
 	return o
 }

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	cds "github.com/cds-suite/cds"
+	"github.com/cds-suite/cds/internal/testprocs"
 )
 
 func implementations() map[string]func() cds.Stack[int] {
@@ -187,10 +188,7 @@ func TestEliminationStats(t *testing.T) {
 	s := NewElimination[int](2, 256)
 	s.EnableStats(true)
 	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		t.Skip("needs ≥2 procs for elimination traffic")
-	}
+	workers := testprocs.AtLeast(t, 4) // a failed head CAS needs a concurrent winner
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {

@@ -50,11 +50,9 @@ func NewTreiber[T any](opts ...Option) *Treiber[T] {
 }
 
 func (s *Treiber[T]) initReclaim(o options) {
-	if o.dom == nil {
-		return
-	}
-	s.mem = reclaim.NewPool(o.dom, 1)
-	if o.recycle {
+	pool := reclaim.NewPool(o.dom, 1)
+	s.mem = pool
+	if pool != nil && o.recycle {
 		s.nodes = reclaim.NewRecycler(func(n *tnode[T]) {
 			var zero T
 			n.value = zero
@@ -84,21 +82,7 @@ func (s *Treiber[T]) Push(v T) {
 // TryPop removes and returns the top element; ok is false if the stack was
 // observed empty.
 func (s *Treiber[T]) TryPop() (v T, ok bool) {
-	if s.mem == nil {
-		var b contend.Backoff
-		for {
-			head := s.head.Load()
-			if head == nil {
-				return v, false
-			}
-			if s.head.CompareAndSwap(head, head.next) {
-				return head.value, true
-			}
-			b.Pause()
-		}
-	}
-	g := s.mem.Get()
-	g.Enter()
+	g := s.mem.Enter()
 	var b contend.Backoff
 	for {
 		head := reclaim.Load(g, 0, &s.head)
@@ -117,9 +101,8 @@ func (s *Treiber[T]) TryPop() (v T, ok bool) {
 		}
 		b.Pause()
 	}
-	g.Exit()
-	s.mem.Put(g)
-	return
+	s.mem.Exit(g)
+	return v, ok
 }
 
 // Len counts the elements by traversing the list. The count is a consistent
