@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	cds "github.com/cds-suite/cds"
 	"github.com/cds-suite/cds/barrier"
@@ -18,6 +19,7 @@ import (
 	"github.com/cds-suite/cds/internal/hazard"
 	"github.com/cds-suite/cds/internal/xrand"
 	"github.com/cds-suite/cds/locks"
+	"github.com/cds-suite/cds/reclaim"
 	"github.com/cds-suite/cds/stm"
 )
 
@@ -405,7 +407,7 @@ func reclaimScenarios() []Scenario {
 						p.Unpin()
 					} else {
 						old := shared.Swap(&node{})
-						p.Retire(func() { _ = old })
+						p.Retire(nil, reclaim.FreeFunc(func() { _ = old }))
 					}
 				}
 			})
@@ -424,7 +426,7 @@ func reclaimScenarios() []Scenario {
 						h.Slot(0).Clear()
 					} else {
 						old := shared.Swap(&node{})
-						h.Retire(old, func() { _ = old })
+						h.Retire(unsafe.Pointer(old), nil, reclaim.FreeFunc(func() { _ = old }))
 					}
 				}
 			})

@@ -26,7 +26,7 @@ func WithReclaim(d reclaim.Domain) Option {
 // requires an EBR WithReclaim domain: Range's weakly consistent iteration
 // cannot hold hazard pointers across its whole walk, so under HP a reused
 // node could surface mid-iteration — the option is ignored for protecting
-// domains (and for GC, where free callbacks never run).
+// domains (and for GC, where nothing is ever freed for reuse).
 func WithRecycling() Option {
 	return func(o *options) { o.recycle = true }
 }

@@ -7,7 +7,7 @@
 // reclamation as a core part of lock-free data structure design, and its
 // costs (read-side pinning, deferred destruction bursts) are part of the
 // canonical measurements (experiment F12). This implementation is the real
-// protocol: deferred destructors run only when no pinned reader could
+// protocol: a retirement's Freer runs only when no pinned reader could
 // still hold a reference, and the invariant tests in this package verify
 // exactly that.
 //
@@ -18,14 +18,39 @@
 // reader can still be inside a critical section that began at epoch e, and
 // bags retired at e may be drained. Three bags per participant suffice
 // because at most three epochs {e-1, e, e+1} can be "live" at once.
+//
+// A retirement is a record {object, freer}, not a closure: Retire
+// allocates nothing, and a drained bag keeps its (zeroed, bounded) backing
+// array for the next generation. The object word is whatever the freer
+// needs to be handed back and nothing more — EBR itself never looks at
+// it — so a retirement whose freer ignores its argument passes nil and
+// the participant holds no reference to the retired object while it
+// waits. That matters because a bag lives until its owner next retires or
+// collects: a parked participant's bags would otherwise pin every retired
+// node, and through a node's stale next pointers the nodes retired after
+// it.
 package epoch
 
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/cds-suite/cds/internal/pad"
 )
+
+// Freer is the action half of a retirement record: Free runs once, on
+// whichever goroutine drains the record, with the object word the
+// retirement carried. It is an alias of the unnamed interface type so
+// that reclaim, epoch and hazard name one identical type and hand values
+// across without an interface conversion.
+type Freer = interface{ Free(obj unsafe.Pointer) }
+
+// retirement is one deferred Free call.
+type retirement struct {
+	obj unsafe.Pointer
+	f   Freer
+}
 
 // epochBags is the number of retirement generations kept per participant.
 const epochBags = 3
@@ -45,7 +70,7 @@ type Collector struct {
 	participants []*Participant
 	// orphans holds bags inherited from unregistered participants, keyed
 	// by retirement epoch; they age out under the same e+2 rule.
-	orphans map[uint64][]func()
+	orphans map[uint64][]retirement
 	// orphanCount mirrors the total size of orphans so hot paths can skip
 	// the drain lock when there is nothing to drain.
 	orphanCount atomic.Int64
@@ -67,10 +92,15 @@ type Collector struct {
 // epoch-advance attempts.
 const defaultAdvanceEvery = 64
 
+// bagKeepFactor bounds the capacity a drained bag may keep, in advance
+// intervals. A bag collects one to two intervals of retirements in steady
+// state; append's doubling makes that a capacity of up to four.
+const bagKeepFactor = 4
+
 // NewCollector returns a Collector at epoch 1.
 func NewCollector() *Collector {
 	c := &Collector{
-		orphans:      make(map[uint64][]func()),
+		orphans:      make(map[uint64][]retirement),
 		advanceEvery: defaultAdvanceEvery,
 	}
 	c.global.Store(1)
@@ -128,7 +158,7 @@ func (c *Collector) Unregister(p *Participant) {
 // drainOrphans frees aged-out orphan bags. Called after epoch advances.
 func (c *Collector) drainOrphans() {
 	g := c.global.Load()
-	var ready []func()
+	var ready []retirement
 	c.mu.Lock()
 	for e, bag := range c.orphans {
 		if e+2 <= g {
@@ -141,8 +171,8 @@ func (c *Collector) drainOrphans() {
 	if len(ready) == 0 {
 		return
 	}
-	for _, free := range ready {
-		free()
+	for _, r := range ready {
+		r.f.Free(r.obj)
 	}
 	c.reclaimed.Add(int64(len(ready)))
 	c.pending.Add(-int64(len(ready)))
@@ -151,7 +181,7 @@ func (c *Collector) drainOrphans() {
 // Epoch returns the current global epoch (for monitoring and tests).
 func (c *Collector) Epoch() uint64 { return c.global.Load() }
 
-// Reclaimed returns the number of destructors run so far.
+// Reclaimed returns the number of retirements freed so far.
 func (c *Collector) Reclaimed() int64 { return c.reclaimed.Load() }
 
 // Pending returns the number of retired-but-not-yet-freed objects.
@@ -206,8 +236,8 @@ type Participant struct {
 	state atomic.Uint64
 	_     pad.CacheLinePad
 
-	// bags hold deferred destructors by retirement generation; owner-only.
-	bags     [epochBags][]func()
+	// bags hold retirement records by generation; owner-only.
+	bags     [epochBags][]retirement
 	bagEpoch [epochBags]uint64
 
 	pinEpoch uint64
@@ -239,9 +269,11 @@ func (p *Participant) Unpin() {
 	}
 }
 
-// Retire schedules free to run once no pinned reader can still reach the
-// retired object. It may be called pinned or unpinned.
-func (p *Participant) Retire(free func()) {
+// Retire schedules f.Free(obj) to run once no pinned reader can still
+// reach the retired object. obj is the word Free is handed back — the
+// object when f needs it, nil when it does not (see the package comment).
+// It may be called pinned or unpinned.
+func (p *Participant) Retire(obj unsafe.Pointer, f Freer) {
 	e := p.c.global.Load()
 	idx := e % epochBags
 	if p.bagEpoch[idx] != e {
@@ -250,7 +282,7 @@ func (p *Participant) Retire(free func()) {
 		p.drainBag(idx)
 		p.bagEpoch[idx] = e
 	}
-	p.bags[idx] = append(p.bags[idx], free)
+	p.bags[idx] = append(p.bags[idx], retirement{obj, f})
 	p.c.pending.Add(1)
 
 	p.ops++
@@ -270,16 +302,25 @@ func (p *Participant) Collect() {
 	}
 }
 
-// drainBag runs and clears bag idx. Owner-only.
+// drainBag frees and empties bag idx. Owner-only. The backing array is
+// zeroed — a drained record must not pin its object — and kept for the
+// next generation unless a burst grew it past bagKeepFactor advance
+// intervals, so a participant's idle capacity stays bounded by its steady
+// state, not by the largest burst it ever saw.
 func (p *Participant) drainBag(idx uint64) {
 	bag := p.bags[idx]
 	if len(bag) == 0 {
 		return
 	}
 	p.bags[idx] = nil
-	for _, free := range bag {
-		free()
+	for _, r := range bag {
+		r.f.Free(r.obj)
 	}
 	p.c.reclaimed.Add(int64(len(bag)))
 	p.c.pending.Add(-int64(len(bag)))
+	// The len check is for a Free that retired into this participant.
+	if uint64(cap(bag)) <= bagKeepFactor*p.c.advanceEvery && len(p.bags[idx]) == 0 {
+		clear(bag)
+		p.bags[idx] = bag[:0]
+	}
 }

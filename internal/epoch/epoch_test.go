@@ -5,7 +5,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
+
+// freeFunc adapts a test's func to a Freer.
+type freeFunc func()
+
+func (f freeFunc) Free(unsafe.Pointer) { f() }
 
 func TestSequentialRetireAndCollect(t *testing.T) {
 	c := NewCollector()
@@ -14,7 +20,7 @@ func TestSequentialRetireAndCollect(t *testing.T) {
 
 	freed := 0
 	for i := 0; i < 10; i++ {
-		p.Retire(func() { freed++ })
+		p.Retire(nil, freeFunc(func() { freed++ }))
 	}
 	if got := c.Pending(); got != 10 {
 		t.Fatalf("Pending = %d, want 10", got)
@@ -70,7 +76,7 @@ func TestRetiredNotFreedWhilePinnedReaderCanHoldIt(t *testing.T) {
 	var freed atomic.Bool
 	reader.Pin()
 	// Reader holds a conceptual reference from inside its section.
-	writer.Retire(func() { freed.Store(true) })
+	writer.Retire(nil, freeFunc(func() { freed.Store(true) }))
 
 	// Writer tries hard to reclaim; the pinned reader must prevent it.
 	for i := 0; i < 10; i++ {
@@ -129,7 +135,7 @@ func TestUnregisterInheritsBags(t *testing.T) {
 	var freed atomic.Int64
 	blocker.Pin()
 	for i := 0; i < 5; i++ {
-		p.Retire(func() { freed.Add(1) })
+		p.Retire(nil, freeFunc(func() { freed.Add(1) }))
 	}
 	c.Unregister(p) // bags become orphans; blocker still pinned
 	if freed.Load() != 0 {
@@ -186,7 +192,7 @@ func TestLostAdvanceStillDrainsOrphans(t *testing.T) {
 		// as an orphan — already aged out (4+2 <= 6) but missed by the
 		// winner's drain.
 		c.mu.Lock()
-		c.orphans[4] = append(c.orphans[4], func() { freed.Add(1) })
+		c.orphans[4] = append(c.orphans[4], retirement{f: freeFunc(func() { freed.Add(1) })})
 		c.mu.Unlock()
 		c.orphanCount.Add(1)
 		c.pending.Add(1)
@@ -231,7 +237,7 @@ func TestOrphanAgingUnderRacingAdvances(t *testing.T) {
 	}
 	for i := 0; i < total; i++ {
 		p := c.Register()
-		p.Retire(func() { freed.Add(1) })
+		p.Retire(nil, freeFunc(func() { freed.Add(1) }))
 		c.Unregister(p)
 	}
 	// Liveness: with no pinned participants the racers keep advancing, and
@@ -301,7 +307,7 @@ func TestConcurrentReclamationStress(t *testing.T) {
 			defer c.Unregister(p)
 			for i := 0; i < 20000; i++ {
 				old := shared.Swap(&object{}) // unlink
-				p.Retire(func() { old.freed.Store(true) })
+				p.Retire(nil, freeFunc(func() { old.freed.Store(true) }))
 			}
 		}()
 	}
@@ -317,5 +323,58 @@ func TestConcurrentReclamationStress(t *testing.T) {
 	}
 	if observed.Load() == 0 {
 		t.Fatal("readers never ran")
+	}
+}
+
+// TestDrainedBagsStayBounded pins both halves of bag reuse: a drained bag
+// keeps its array (the steady state appends into it without growing), and
+// a burst does not set the participant's idle footprint for good — after
+// 100 k retirements pile up behind a pinned reader and then drain, the
+// three bags together hold at most bagKeepFactor advance intervals each.
+func TestDrainedBagsStayBounded(t *testing.T) {
+	c := NewCollector()
+	p := c.Register()
+	reader := c.Register()
+	var freed int
+	count := freeFunc(func() { freed++ })
+
+	reader.Pin() // holds the epoch: the burst cannot drain
+	const burst = 100_000
+	for i := 0; i < burst; i++ {
+		p.Retire(nil, count)
+	}
+	if freed != 0 {
+		t.Fatalf("%d retirements freed under a pinned reader", freed)
+	}
+	reader.Unpin()
+	for i := 0; i < epochBags; i++ {
+		c.TryAdvance()
+	}
+	p.Collect()
+	if freed != burst || c.Pending() != 0 {
+		t.Fatalf("after the drain: freed %d, pending %d; want %d, 0", freed, c.Pending(), burst)
+	}
+	bound := epochBags * bagKeepFactor * int(c.advanceEvery)
+	if got := cap(p.bags[0]) + cap(p.bags[1]) + cap(p.bags[2]); got > bound {
+		t.Errorf("drained bags keep %d records of capacity after a burst, want <= %d", got, bound)
+	}
+
+	// Steady state: every bag the rotation drains is appended into again.
+	for i := 0; i < 64*int(c.advanceEvery); i++ {
+		p.Retire(nil, count)
+	}
+	caps := [epochBags]int{cap(p.bags[0]), cap(p.bags[1]), cap(p.bags[2])}
+	for i := 0; i < 64*int(c.advanceEvery); i++ {
+		p.Retire(nil, count)
+	}
+	if now := [epochBags]int{cap(p.bags[0]), cap(p.bags[1]), cap(p.bags[2])}; now != caps {
+		t.Errorf("bag capacities moved in steady state: %v -> %v, want the arrays reused", caps, now)
+	}
+	for i, bag := range p.bags {
+		for _, r := range bag[len(bag):cap(bag)] {
+			if r != (retirement{}) {
+				t.Fatalf("bag %d keeps a drained record beyond its length", i)
+			}
+		}
 	}
 }

@@ -14,6 +14,13 @@
 // As with package epoch, Go's GC makes this protocol optional for safety;
 // it is implemented fully and its invariant (never free a protected
 // object) is what the tests verify.
+//
+// A retirement is a record {address, object, freer}, not a closure: the
+// address is what scans compare against the slots, and freer.Free(object)
+// is what runs when no slot names it. Unlike EBR, a handle always holds
+// the retired object's address until a scan frees it; a handle scans on
+// every scanThreshold'th retirement, into a scratch set it owns, so the
+// steady-state retire path allocates nothing.
 package hazard
 
 import (
@@ -63,7 +70,7 @@ func (d *Domain) SetScanThreshold(n int) {
 	d.scanThreshold = n
 }
 
-// Reclaimed returns the number of destructors run so far.
+// Reclaimed returns the number of retirements freed so far.
 func (d *Domain) Reclaimed() int64 { return d.reclaimed.Load() }
 
 // Pending returns the number of retired-but-not-yet-freed objects.
@@ -85,8 +92,8 @@ type Slot struct {
 }
 
 // dataPtr extracts the data word of an interface value — the object's
-// address for the pointer-shaped values the protocol works with. Retire
-// and Protect must be handed the same pointer value for identity to hold.
+// address for the pointer-shaped values the protocol works with. Protect
+// must be handed the same pointer value as Retire for identity to hold.
 func dataPtr(v any) *byte {
 	if v == nil {
 		return nil
@@ -129,11 +136,22 @@ type Handle struct {
 	d       *Domain
 	slots   []*Slot
 	retired []retiredObject
+	// protected is Scan's scratch set of published addresses: filled and
+	// emptied again by every scan, owner-only like retired.
+	protected map[*byte]struct{}
 }
 
+// Freer is the action half of a retirement record: Free runs once, on
+// whichever goroutine's scan frees the record, with the object word the
+// retirement carried. It is an alias of the unnamed interface type so
+// that reclaim, epoch and hazard name one identical type and hand values
+// across without an interface conversion.
+type Freer = interface{ Free(obj unsafe.Pointer) }
+
 type retiredObject struct {
-	ptr  any
-	free func()
+	ptr *byte // the address scans look for among the slots
+	obj unsafe.Pointer
+	f   Freer
 }
 
 // NewHandle issues a handle with k hazard slots (k >= 1; most algorithms
@@ -142,7 +160,7 @@ func (d *Domain) NewHandle(k int) *Handle {
 	if k < 1 {
 		k = 1
 	}
-	h := &Handle{d: d, slots: make([]*Slot, k)}
+	h := &Handle{d: d, slots: make([]*Slot, k), protected: make(map[*byte]struct{})}
 	for i := range h.slots {
 		s := &Slot{}
 		s.Clear()
@@ -166,10 +184,11 @@ func (h *Handle) Protect(i int, p any) {
 	h.slots[i].setPtr(dataPtr(p))
 }
 
-// Retire schedules free to run once no hazard slot protects ptr. ptr must
-// be the same value (same pointer) readers publish via Protect.
-func (h *Handle) Retire(ptr any, free func()) {
-	h.retired = append(h.retired, retiredObject{ptr: ptr, free: free})
+// Retire schedules f.Free(obj) to run once no hazard slot protects ptr.
+// ptr must be the same pointer readers publish via Protect; obj is the
+// word Free is handed back (ptr again, or nil when f ignores it).
+func (h *Handle) Retire(ptr, obj unsafe.Pointer, f Freer) {
+	h.retired = append(h.retired, retiredObject{ptr: (*byte)(ptr), obj: obj, f: f})
 	h.d.pending.Add(1)
 	if len(h.retired) >= h.d.scanThreshold {
 		h.Scan()
@@ -194,21 +213,17 @@ func (h *Handle) Scan() {
 	orphans := h.d.orphaned
 	h.d.orphaned = nil
 	h.d.mu.Unlock()
-	protected := make(map[*byte]struct{}, len(slots))
-	for _, s := range slots {
-		if v := s.loadPtr(); v != nil {
-			protected[v] = struct{}{}
-		}
-	}
+	protected := h.protected
+	fillProtected(protected, slots)
 
 	kept := h.retired[:0]
 	freed := 0
 	for _, r := range h.retired {
-		if _, isProtected := protected[dataPtr(r.ptr)]; isProtected {
+		if _, isProtected := protected[r.ptr]; isProtected {
 			kept = append(kept, r)
 			continue
 		}
-		r.free()
+		r.f.Free(r.obj)
 		freed++
 	}
 	// Zero the tail so freed entries do not pin their objects.
@@ -221,11 +236,11 @@ func (h *Handle) Scan() {
 	// domain (they belong to no handle).
 	var keptOrphans []retiredObject
 	for _, r := range orphans {
-		if _, isProtected := protected[dataPtr(r.ptr)]; isProtected {
+		if _, isProtected := protected[r.ptr]; isProtected {
 			keptOrphans = append(keptOrphans, r)
 			continue
 		}
-		r.free()
+		r.f.Free(r.obj)
 		freed++
 	}
 	if len(keptOrphans) > 0 {
@@ -233,6 +248,9 @@ func (h *Handle) Scan() {
 		h.d.orphansLocked(keptOrphans)
 		h.d.mu.Unlock()
 	}
+	// Left filled, the set would pin the addresses it saw until the next
+	// scan — for a handle that is released or parked, indefinitely.
+	clear(protected)
 	if freed > 0 {
 		h.d.reclaimed.Add(int64(freed))
 		h.d.pending.Add(int64(-freed))
@@ -278,6 +296,15 @@ func (h *Handle) Release() {
 	h.d.mu.Unlock()
 }
 
+// fillProtected adds every address published in slots to set.
+func fillProtected(set map[*byte]struct{}, slots []*Slot) {
+	for _, s := range slots {
+		if v := s.loadPtr(); v != nil {
+			set[v] = struct{}{}
+		}
+	}
+}
+
 // orphansLocked appends items to the domain's ownerless retire list.
 // Caller holds d.mu.
 func (d *Domain) orphansLocked(items []retiredObject) {
@@ -294,19 +321,15 @@ func (d *Domain) Drain() {
 	d.mu.Unlock()
 
 	protected := make(map[*byte]struct{}, len(slots))
-	for _, s := range slots {
-		if v := s.loadPtr(); v != nil {
-			protected[v] = struct{}{}
-		}
-	}
+	fillProtected(protected, slots)
 	var kept []retiredObject
 	freed := 0
 	for _, r := range items {
-		if _, isProtected := protected[dataPtr(r.ptr)]; isProtected {
+		if _, isProtected := protected[r.ptr]; isProtected {
 			kept = append(kept, r)
 			continue
 		}
-		r.free()
+		r.f.Free(r.obj)
 		freed++
 	}
 	if len(kept) > 0 {

@@ -8,6 +8,11 @@ import (
 	"unsafe"
 )
 
+// freeFunc adapts a test's func to a Freer.
+type freeFunc func()
+
+func (f freeFunc) Free(unsafe.Pointer) { f() }
+
 func TestRetireFreesUnprotected(t *testing.T) {
 	d := NewDomain()
 	d.SetScanThreshold(4)
@@ -17,7 +22,7 @@ func TestRetireFreesUnprotected(t *testing.T) {
 	freed := 0
 	for i := 0; i < 8; i++ {
 		p := &struct{ x int }{x: i}
-		h.Retire(p, func() { freed++ })
+		h.Retire(unsafe.Pointer(p), nil, freeFunc(func() { freed++ }))
 	}
 	h.Scan()
 	if freed != 8 {
@@ -49,7 +54,7 @@ func TestProtectedObjectSurvivesScan(t *testing.T) {
 	// Writer unlinks and retires it; scans must not free it.
 	shared.Store(nil)
 	var freed atomic.Bool
-	writer.Retire(obj, func() { freed.Store(true) })
+	writer.Retire(unsafe.Pointer(obj), nil, freeFunc(func() { freed.Store(true) }))
 	for i := 0; i < 5; i++ {
 		writer.Scan()
 	}
@@ -130,7 +135,7 @@ func TestReleaseHandsOffRetired(t *testing.T) {
 	Protect(blocker.Slot(0), &shared)
 
 	var freed atomic.Bool
-	leaver.Retire(obj, func() { freed.Store(true) })
+	leaver.Retire(unsafe.Pointer(obj), nil, freeFunc(func() { freed.Store(true) }))
 	leaver.Release() // obj still protected: must survive the handoff
 	if freed.Load() {
 		t.Fatal("protected object freed during handle release")
@@ -177,7 +182,7 @@ func TestReleaseRetireScanRace(t *testing.T) {
 			default:
 			}
 			p := &node{}
-			owner.Retire(p, func() {})
+			owner.Retire(unsafe.Pointer(p), nil, freeFunc(func() {}))
 			owner.Scan()
 		}
 	}()
@@ -186,7 +191,7 @@ func TestReleaseRetireScanRace(t *testing.T) {
 		defer churnWG.Done()
 		for i := 0; i < 2000; i++ {
 			h := d.NewHandle(1)
-			h.Retire(obj, func() {})
+			h.Retire(unsafe.Pointer(obj), nil, freeFunc(func() {}))
 			h.Release()
 		}
 	}()
@@ -255,7 +260,7 @@ func TestConcurrentStress(t *testing.T) {
 			defer h.Release()
 			for i := 0; i < 20000; i++ {
 				old := shared.Swap(&node{})
-				h.Retire(old, func() { old.freed.Store(true) })
+				h.Retire(unsafe.Pointer(old), nil, freeFunc(func() { old.freed.Store(true) }))
 			}
 		}()
 	}

@@ -2,6 +2,7 @@ package queue
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/cds-suite/cds/contend"
 	"github.com/cds-suite/cds/internal/pad"
@@ -121,7 +122,7 @@ func resetSegment[T any](s *segment[T]) {
 type segCounters struct {
 	alloc   atomic.Int64 // segments published into the list (incl. the seed)
 	retired atomic.Int64 // segments handed to the reclamation domain
-	freed   atomic.Int64 // free callbacks run (recycled to the pool or dropped)
+	freed   atomic.Int64 // retirements freed (recycled to the pool or dropped)
 	closed  atomic.Int64 // tantrum seals
 	enqSlow atomic.Int64 // enqueue attempts that left the FAA fast path
 	deqSlow atomic.Int64 // dequeue claims lost to abandonment
@@ -132,7 +133,7 @@ type segCounters struct {
 //
 //	SegsAllocated == SegsRecycled + SegsLive + SegsRetiredPending
 //
-// Under the default GC domain free callbacks never run, so retired
+// Under the default GC domain nothing is ever freed, so retired
 // segments count as pending forever — the domain's way of saying the
 // garbage collector owns them now.
 type SegStats struct {
@@ -140,7 +141,7 @@ type SegStats struct {
 	// including the seed segment (segments prepared for an append that
 	// lost its race are handed back and never counted).
 	SegsAllocated int64
-	// SegsRecycled counts segments whose reclamation free callback ran:
+	// SegsRecycled counts segments the reclamation domain has freed:
 	// returned to the Recycler pool when recycling is on, dropped to the
 	// collector otherwise.
 	SegsRecycled int64
@@ -304,15 +305,29 @@ func (q *segCore[T]) retire(g reclaim.Guard, s *segment[T]) {
 	if g == nil {
 		return // plain GC: the collector owns it now
 	}
-	freed := &q.stats.freed
-	if segs := q.segs; segs != nil {
-		g.Retire(s, func() {
-			freed.Add(1)
-			segs.Put(s)
-		})
+	p, f := unsafe.Pointer(s), (*segFreer[T])(q)
+	if q.segs == nil {
+		// Counted, not recycled: the retirement carries no reference, so
+		// a parked EBR guard does not pin s and, through s.next, every
+		// segment retired after it.
+		g.Retire(p, nil, f)
 		return
 	}
-	g.Retire(s, func() { freed.Add(1) })
+	g.Retire(p, p, f)
+}
+
+// segFreer is a segCore as the reclaim.Freer of its retired segments — a
+// type of its own so that Free is not promoted into LCRQ's and MPSC's
+// method sets.
+type segFreer[T any] segCore[T]
+
+// Free counts the reclamation and, when recycling, pools the segment (obj
+// is nil otherwise; see retire).
+func (f *segFreer[T]) Free(obj unsafe.Pointer) {
+	f.stats.freed.Add(1)
+	if obj != nil {
+		f.segs.Put((*segment[T])(obj))
+	}
 }
 
 // takeSlot consumes a claimed slot: wait briefly for an in-flight

@@ -1,11 +1,15 @@
 package reclaim
 
-import "github.com/cds-suite/cds/internal/epoch"
+import (
+	"unsafe"
+
+	"github.com/cds-suite/cds/internal/epoch"
+)
 
 // EBR is the epoch-based reclamation domain, backed by an
 // internal/epoch.Collector. Guards pin the global epoch for the duration
-// of Enter/Exit sections; Retire defers the free callback until the epoch
-// has advanced twice past the retirement epoch, at which point no pinned
+// of Enter/Exit sections; Retire defers the Freer until the epoch has
+// advanced twice past the retirement epoch, at which point no pinned
 // reader can still hold a reference.
 //
 // EBR's weakness is liveness, not safety: one guard stalled inside a
@@ -51,6 +55,8 @@ func (g *ebrGuard) Exit()            { g.p.Unpin() }
 func (g *ebrGuard) Protect(int, any) {}
 func (g *ebrGuard) Protects() bool   { return false }
 
-func (g *ebrGuard) Retire(_ any, free func()) { g.p.Retire(free) }
+// Retire keeps {obj, f} and forgets ptr: epochs protect sections, not
+// addresses.
+func (g *ebrGuard) Retire(_, obj unsafe.Pointer, f Freer) { g.p.Retire(obj, f) }
 
 func (g *ebrGuard) Release() { g.c.Unregister(g.p) }

@@ -3,15 +3,17 @@ package reclaim_test
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/cds-suite/cds/reclaim"
 )
 
 // The canonical bracket: open a section on the structure's pool,
-// load-protect a shared pointer, and retire an unlinked object whose free
-// callback runs only once no guard can reach it. Over reclaim.NewGC() (or
-// no domain) pool and g are nil and the same code is a plain load and a
-// dropped node.
+// load-protect a shared pointer, and retire an unlinked object, whose
+// Freer runs only once no guard can reach it (a structure calls
+// reclaim.Retire with its Recycler; a func goes through the FreeFunc
+// adaptor). Over reclaim.NewGC() (or no domain) pool and g are nil and
+// the same code is a plain load and a dropped node.
 func Example() {
 	type node struct{ v int }
 
@@ -30,13 +32,13 @@ func Example() {
 	// A writer unlinks the node and retires it.
 	old := head.Swap(&node{v: 2})
 	g = pool.Enter()
-	g.Retire(old, func() { fmt.Println("freed:", old.v) })
+	g.Retire(unsafe.Pointer(old), nil, reclaim.FreeFunc(func() { fmt.Println("freed:", old.v) }))
 	pool.Exit(g)
 
 	// Drive retirement traffic until the grace period passes.
 	g = pool.Enter()
 	for i := 0; i < 8 && d.Reclaimed() == 0; i++ {
-		g.Retire(&node{}, func() {})
+		reclaim.Retire(g, nil, &node{})
 	}
 	pool.Exit(g)
 

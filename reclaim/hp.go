@@ -1,11 +1,15 @@
 package reclaim
 
-import "github.com/cds-suite/cds/internal/hazard"
+import (
+	"unsafe"
+
+	"github.com/cds-suite/cds/internal/hazard"
+)
 
 // HP is the hazard-pointer domain, backed by an internal/hazard.Domain.
 // Guards publish each shared pointer in a slot before dereferencing it and
 // revalidate the source (the Load helper packages the dance); Retire
-// defers the free callback until a scan finds no slot naming the object.
+// defers the Freer until a scan finds no slot naming the object.
 //
 // Compared with EBR the per-read cost is higher — a publication store plus
 // a revalidating reload on every pointer — but pending garbage stays
@@ -59,6 +63,6 @@ func (g *hpGuard) Exit() {
 func (g *hpGuard) Protect(i int, ptr any) { g.h.Protect(i, ptr) }
 func (g *hpGuard) Protects() bool         { return true }
 
-func (g *hpGuard) Retire(ptr any, free func()) { g.h.Retire(ptr, free) }
+func (g *hpGuard) Retire(ptr, obj unsafe.Pointer, f Freer) { g.h.Retire(ptr, obj, f) }
 
 func (g *hpGuard) Release() { g.h.Release() }

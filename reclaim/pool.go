@@ -28,19 +28,44 @@ import (
 // construction: an Exit that finds the ring full releases the guard
 // instead of parking it.
 //
-// Slot selection hashes the caller's stack address, which is stable per
-// goroutine, so a worker tends to reacquire the guard (and the warmed
-// hazard slots) it used last.
+// A goroutine's home slot is derived from the address of its stack at a
+// homeGranule granule. The runtime allocates stacks in size-aligned
+// power-of-two classes, so while a goroutine's stack is at least one
+// granule and its calls stay within the top granule of it, every Enter
+// and Exit it makes — from whatever call depth — lands on the same slot:
+// it reacquires the guard it parked, with the participant state, retire
+// bags and hazard slots its core already has in cache, and touches no
+// other goroutine's slot line. The home is a hint, not an identity. Two
+// goroutines can collide (small stacks inside one granule, or two
+// granules that hash alike), and a stack that grows moves: then the one
+// that finds its home empty or busy probes on round the ring, may take a
+// guard another goroutine parked, and pays for both in cache misses.
+// Correctness never depends on the hit; homeMiss counts the misses.
 type Pool struct {
 	d     Domain
 	slots int
 	cache []pslot
+	// homeMiss counts Enter calls whose first probe did not yield a guard
+	// (the affinity test reads it). It is bumped off the hit path only,
+	// and padded away from the read-only words above so that a goroutine
+	// which does keep missing does not bounce their line.
+	_        pad.CacheLinePad
+	homeMiss atomic.Int64
 }
 
+// homeGranule is log2 of the stack-address granule home() hashes: 8 KiB,
+// no finer than the stacks the workers of a loaded structure run on (the
+// runtime's small classes are 2, 4, 8 and 16 KiB). A finer granule gives
+// one goroutine a different home at every call depth.
+const homeGranule = 13
+
+// pslot is one ring element, exactly one cache line: the lock word and
+// the parked guard first, padding to the line after, so that neighbouring
+// slots (neighbouring goroutines' homes) never share a line.
 type pslot struct {
 	mu sync.Mutex
 	g  Guard
-	_  pad.CacheLinePad
+	_  [pad.CacheLineSize - unsafe.Sizeof(sync.Mutex{}) - unsafe.Sizeof(Guard(nil))]byte
 }
 
 // NewPool returns a guard pool over d; guards are created with the given
@@ -83,6 +108,9 @@ func (p *Pool) enter() Guard {
 				return g
 			}
 		}
+		if i == 0 {
+			p.homeMiss.Add(1)
+		}
 	}
 	g := p.d.NewGuard(p.slots)
 	g.Enter()
@@ -117,10 +145,11 @@ func (p *Pool) exit(g Guard) {
 	g.Release()
 }
 
-// home returns this goroutine's preferred ring index.
+// home returns this goroutine's preferred ring index: its stack's
+// homeGranule granule, modulo the ring.
 func (p *Pool) home() int {
 	var probe byte
-	return int((uintptr(unsafe.Pointer(&probe)) >> 9) & uintptr(len(p.cache)-1))
+	return int((uintptr(unsafe.Pointer(&probe)) >> homeGranule) & uintptr(len(p.cache)-1))
 }
 
 // Drain releases every parked guard, handing their buffered retirements
@@ -149,8 +178,10 @@ func (p *Pool) Drain() {
 // reset and returned to a sync.Pool once the guard's domain declares it
 // unreachable, so the structure's next allocation reuses it instead of
 // growing the heap. Reuse is safe exactly because the domain interposes —
-// without a deferring domain free callbacks never run, so constructors
-// create a recycler only when NewPool gave them a pool.
+// without a deferring domain no Freer ever runs, so constructors create a
+// recycler only when NewPool gave them a pool. The recycler is itself the
+// Freer of the nodes retired through it, so retiring one allocates
+// nothing.
 //
 // A nil *Recycler is valid and allocates normally, which lets structures
 // thread one field through both recycled and non-recycled configurations.
@@ -200,6 +231,9 @@ func (r *Recycler[T]) put(n *T) {
 	r.pool.Put(n)
 }
 
+// Free implements Freer: obj is a *T retired through r, now unreachable.
+func (r *Recycler[T]) Free(obj unsafe.Pointer) { r.put((*T)(obj)) }
+
 // Reused returns how many allocations were served from the pool.
 func (r *Recycler[T]) Reused() int64 {
 	if r == nil {
@@ -209,11 +243,13 @@ func (r *Recycler[T]) Reused() int64 {
 }
 
 // Retire retires n into g; once the domain declares it unreachable it is
-// reset and pooled in r for reuse. With a nil recycler the node is simply
-// dropped to the garbage collector when its time comes (the free callback
-// still runs, so the domain's reclaimed/pending gauges stay live). With a
-// nil guard — the structure runs on plain GC — it does nothing at all:
-// the unlinked node is already garbage and no free callback ever runs.
+// reset and pooled in r for reuse. With a nil recycler the node is left
+// to the garbage collector: the retirement still counts (the domain's
+// reclaimed/pending gauges stay live), but it carries no reference to n,
+// so under EBR n is collectable the moment the structure unlinks it —
+// even if the guard is then parked with the retirement still in its bag.
+// With a nil guard — the structure runs on plain GC — Retire does nothing
+// at all.
 func Retire[T any](g Guard, r *Recycler[T], n *T) {
 	if g != nil {
 		retire(g, r, n)
@@ -221,15 +257,18 @@ func Retire[T any](g Guard, r *Recycler[T], n *T) {
 }
 
 func retire[T any](g Guard, r *Recycler[T], n *T) {
+	p := unsafe.Pointer(n)
 	if r == nil {
-		g.Retire(n, func() {})
+		g.Retire(p, nil, dropped{})
 		return
 	}
-	g.Retire(n, func() {
-		r.reset(n)
-		r.pool.Put(n)
-	})
+	g.Retire(p, p, r)
 }
+
+// dropped is the Freer of an object nobody recycles.
+type dropped struct{}
+
+func (dropped) Free(unsafe.Pointer) {}
 
 // Load reads *src for dereferencing under g's hazard slot: it publishes
 // the loaded pointer and re-reads src until both agree, the

@@ -5,11 +5,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 type node struct {
 	v     int
 	freed atomic.Bool
+}
+
+// retireFunc retires n into g with a plain func as its Freer.
+func retireFunc(g Guard, n *node, f func()) {
+	g.Retire(unsafe.Pointer(n), nil, FreeFunc(f))
 }
 
 func TestGCDomainIsInert(t *testing.T) {
@@ -23,7 +29,7 @@ func TestGCDomainIsInert(t *testing.T) {
 	g := d.NewGuard(2)
 	g.Enter()
 	called := false
-	g.Retire(&node{}, func() { called = true })
+	retireFunc(g, &node{}, func() { called = true })
 	g.Exit()
 	if called {
 		t.Fatal("GC guard ran a free callback")
@@ -78,11 +84,11 @@ func TestEBRRetireWaitsForSectionExit(t *testing.T) {
 
 	obj := &node{}
 	reader.Enter()
-	writer.Retire(obj, func() { obj.freed.Store(true) })
+	retireFunc(writer, obj, func() { obj.freed.Store(true) })
 	// Retire with interval 1 tries hard to advance; the pinned reader
 	// must hold it back.
 	for i := 0; i < 10; i++ {
-		writer.Retire(&node{}, func() {})
+		retireFunc(writer, &node{}, func() {})
 	}
 	if obj.freed.Load() {
 		t.Fatal("object freed while a guard was inside its section")
@@ -92,7 +98,7 @@ func TestEBRRetireWaitsForSectionExit(t *testing.T) {
 	}
 	reader.Exit()
 	for i := 0; i < 10; i++ {
-		writer.Retire(&node{}, func() {})
+		retireFunc(writer, &node{}, func() {})
 	}
 	if !obj.freed.Load() {
 		t.Fatal("object never freed after the section exited")
@@ -122,9 +128,9 @@ func TestHPLoadProtectsAgainstScan(t *testing.T) {
 
 	// Unlink and retire; threshold 1 scans on every retire.
 	shared.Store(nil)
-	writer.Retire(obj, func() { obj.freed.Store(true) })
+	retireFunc(writer, obj, func() { obj.freed.Store(true) })
 	for i := 0; i < 5; i++ {
-		writer.Retire(&node{}, func() {})
+		retireFunc(writer, &node{}, func() {})
 	}
 	if obj.freed.Load() {
 		t.Fatal("protected object freed under scan pressure")
@@ -133,7 +139,7 @@ func TestHPLoadProtectsAgainstScan(t *testing.T) {
 	// Exit clears the slot; the next scan may free it.
 	reader.Exit()
 	for i := 0; i < 3; i++ {
-		writer.Retire(&node{}, func() {})
+		retireFunc(writer, &node{}, func() {})
 	}
 	if !obj.freed.Load() {
 		t.Fatal("object never freed after slot cleared")
@@ -283,7 +289,7 @@ func TestDomainsNeverFreeReachable(t *testing.T) {
 					for n := 0; n < 20000; n++ {
 						g := pool.Enter()
 						old := shared.Swap(&node{})
-						g.Retire(old, func() { old.freed.Store(true) })
+						retireFunc(g, old, func() { old.freed.Store(true) })
 						pool.Exit(g)
 					}
 				}()
