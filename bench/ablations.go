@@ -83,7 +83,7 @@ func stripesScenario() Scenario {
 	return Scenario{Family: "cmap", Name: name,
 		Xs: func(Config) []int { return []int{1, 4, 16, 64, 256} },
 		Algos: []ScenarioAlgo{{Label: "Striped", Run: func(cfg Config, stripes int) Result {
-			return drive(cfg, catalog.Find("cmap", "Striped"), cmap.NewStriped[int, int](stripes), wl, fullThreads(), Run)
+			return drive(cfg, catalog.Find("cmap", "Striped"), cmap.NewStriped[int, int](stripes), wl, fullThreads())
 		}}}}
 }
 

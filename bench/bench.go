@@ -22,8 +22,9 @@ type Result struct {
 	Ops int64
 	// Elapsed is the wall-clock duration of the measured region.
 	Elapsed time.Duration
-	// Latency holds per-operation latency samples when the configuration
-	// was measured with RunLatency; nil for plain Run.
+	// Latency holds the sampled per-operation latencies (Run times one
+	// operation in every block of SampleEvery); nil on cells that time
+	// nothing per operation.
 	Latency *Histogram
 	// Gauges carries end-of-run structure gauges (e.g. the reclamation
 	// cells' pending_garbage and reclaimed counts); nil when the cell has
@@ -64,13 +65,9 @@ func (r Result) Record(family, algo, scenario string) Record {
 		Unit:      UnitMops,
 		NsPerOp:   r.NsPerOp(),
 	}
-	if r.Latency != nil && r.Latency.Count() > 0 {
-		s := r.Latency.Summary()
-		rec.P50Ns = s.P50
-		rec.P90Ns = s.P90
-		rec.P99Ns = s.P99
-		rec.P999Ns = s.P999
-		rec.Samples = s.Samples
+	if h := r.Latency; h != nil && h.Count() > 0 {
+		rec.P50Ns, rec.P90Ns, rec.P99Ns, rec.P999Ns = h.Percentile(50), h.Percentile(90), h.Percentile(99), h.Percentile(99.9)
+		rec.Samples = h.Count()
 	}
 	if len(r.Gauges) > 0 {
 		rec.Gauges = r.Gauges
@@ -104,6 +101,14 @@ type Record struct {
 	P99Ns     int64   `json:"p99_ns,omitempty"`
 	P999Ns    int64   `json:"p999_ns,omitempty"`
 	Samples   uint64  `json:"samples,omitempty"`
+	// Trials is the number of measured trials behind the record. With more
+	// than one, the record is the median trial by Value, and [Lo, Hi] and
+	// [P99LoNs, P99HiNs] span the trials' values and p99s.
+	Trials  int     `json:"trials,omitempty"`
+	Lo      float64 `json:"lo,omitempty"`
+	Hi      float64 `json:"hi,omitempty"`
+	P99LoNs int64   `json:"p99_lo_ns,omitempty"`
+	P99HiNs int64   `json:"p99_hi_ns,omitempty"`
 	// Gauges carries end-of-run structure gauges keyed by name. The
 	// reclamation cells (F12, the reclaim-structs scenarios) report
 	// pending_garbage and reclaimed here; absent on other records.
@@ -111,7 +116,8 @@ type Record struct {
 }
 
 // Meta describes the environment a Report was produced in, so that two
-// BENCH_*.json files are only ever compared with their context attached.
+// reports are only ever compared with their context attached (DiffReports
+// refuses to judge across different NumCPU, GOMAXPROCS or Quick).
 type Meta struct {
 	GoVersion   string `json:"go_version"`
 	GOOS        string `json:"goos"`
@@ -121,23 +127,22 @@ type Meta struct {
 	GitRevision string `json:"git_revision"`
 	Quick       bool   `json:"quick"`
 	UnixTime    int64  `json:"unix_time"`
+	// TimerNs is the calibrated cost of the clock pair Run puts around each
+	// sampled operation; percentiles are reported raw, not net of it.
+	TimerNs float64 `json:"timer_ns"`
 }
 
 // Report is the machine-readable output of a benchmark run: environment
 // metadata plus every measured record. It is the unit cmd/cdsbench
-// serializes and future revisions diff against checked-in baselines.
+// serializes and cmd/benchdiff compares; BENCH.json is the checked-in one.
 type Report struct {
-	Schema string `json:"schema"`
-	Meta   Meta   `json:"meta"`
-	// Summary frames the records in terms of the hardware that produced
-	// them — num_cpu leads, because it decides whether thread sweeps
-	// measure parallel speedup or time-slicing. See RunSummary.
-	Summary string   `json:"summary,omitempty"`
+	Schema  string   `json:"schema"`
+	Meta    Meta     `json:"meta"`
 	Records []Record `json:"records"`
 }
 
 // ReportSchema identifies the current JSON layout.
-const ReportSchema = "cds-bench/v1"
+const ReportSchema = "cds-bench/v2"
 
 // NewMeta captures the current environment. The git revision comes from
 // the binary's embedded VCS build info when present ("unknown" otherwise —
@@ -152,30 +157,24 @@ func NewMeta(quick bool) Meta {
 		GitRevision: vcsRevision(),
 		Quick:       quick,
 		UnixTime:    time.Now().Unix(),
+		TimerNs:     timerCost(),
 	}
 }
 
-// RunSummary renders the context a reader needs before comparing any two
-// records. num_cpu comes first: worker counts beyond it time-share cores,
-// so throughput ratios between algorithms compress or invert relative to
-// genuinely parallel hardware. The segmented-queue family (S18/A5) is the
-// worked example — its headline claim is only legible on real cores, and
-// below that the per-record gauges carry the evidence instead.
-func RunSummary(m Meta) string {
-	return fmt.Sprintf(
-		"num_cpu=%d gomaxprocs=%d — thread counts beyond num_cpu measure "+
-			"time-slicing, not parallel speedup. Segmented-queue bar (S18/A5): "+
-			"on >=4 real cores queue.LCRQ is expected to beat queue.MS by >=3x "+
-			"at 4 threads; on fewer cores that ratio is not observable and the "+
-			"S18 gauges carry the evidence instead — enq_slowpath and "+
-			"deq_abandoned staying small relative to enqueues/dequeues shows "+
-			"the single-FAA fast path dominating. Combining-backend sweep "+
-			"(S13): CC-Synch/DSM-Synch are expected to overtake flat "+
-			"combining only when real cores keep many waiters pending; below "+
-			"that, compare the avg_batch and handoffs gauges across the "+
-			"FlatCombining/CC-Synch/DSM-Synch rows of one cell — growing "+
-			"batches are the signature of delegation working.",
-		m.NumCPU, m.GOMAXPROCS)
+// timerCost measures the cost of one back-to-back clock pair: the median
+// over batches, so that a host stall inside one batch does not move it.
+func timerCost() float64 {
+	const batches, pairs = 21, 5000
+	cost := make([]float64, batches)
+	for b := range cost {
+		t0 := time.Now()
+		for i := 0; i < pairs; i++ {
+			_ = time.Since(time.Now())
+		}
+		cost[b] = float64(time.Since(t0).Nanoseconds()) / pairs
+	}
+	sort.Float64s(cost)
+	return cost[batches/2]
 }
 
 func vcsRevision() string {
@@ -199,12 +198,29 @@ func (r Report) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// Run executes a workload: workers goroutines each perform opsPerWorker
-// calls of the closure returned by mkOp. mkOp runs before the clock starts
-// (setup excluded from timing), and all workers start together.
+// SampleEvery is the sampling period of Run: one operation in every block
+// of this many is individually timed.
+const SampleEvery = 64
+
+// samplePos is the position inside block b at which worker w's operation
+// is timed. It is drawn per block, not strided: a fixed stride would alias
+// with MixGen's block of 100 and with the burst-64 producers.
+func samplePos(w, b, blockLen int) int {
+	x := uint64(w)<<32 + uint64(b)
+	return int(xrand.SplitMix64(&x) % uint64(blockLen))
+}
+
+// Run is the one way a cell is timed: workers goroutines each perform
+// opsPerWorker calls of the closure returned by mkOp. mkOp runs before the
+// clock starts (setup excluded from timing), all workers start together,
+// and each worker times one call per block of SampleEvery into its own
+// histogram; the rest run untimed, so the clock reads cost the cell's
+// throughput 1/SampleEvery of what timing every call would. A closure may
+// end its worker early with runtime.Goexit (the wall-bounded blocking
+// cells do); Ops counts the calls that returned.
 func Run(workers, opsPerWorker int, mkOp func(w int) func(i int)) Result {
-	ops := make([]func(i int), workers)
-	for w := 0; w < workers; w++ {
+	ops, hists, done := make([]func(i int), workers), newHists(workers), make([]int, workers)
+	for w := range ops {
 		ops[w] = mkOp(w)
 	}
 
@@ -212,22 +228,33 @@ func Run(workers, opsPerWorker int, mkOp func(w int) func(i int)) Result {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(op func(int)) {
-			defer wg.Done()
+		go func(w int) {
+			op, h, i := ops[w], hists[w], 0
+			defer func() { done[w] = i; wg.Done() }()
 			<-start
-			for i := 0; i < opsPerWorker; i++ {
+			for b := 0; i < opsPerWorker; b++ {
+				end := min(i+SampleEvery, opsPerWorker)
+				timed := i + samplePos(w, b, end-i)
+				for ; i < timed; i++ {
+					op(i)
+				}
+				t0 := time.Now()
 				op(i)
+				h.Record(time.Since(t0).Nanoseconds())
+				for i++; i < end; i++ {
+					op(i)
+				}
 			}
-		}(ops[w])
+		}(w)
 	}
 	t0 := time.Now()
 	close(start)
 	wg.Wait()
-	return Result{
-		Workers: workers,
-		Ops:     int64(workers) * int64(opsPerWorker),
-		Elapsed: time.Since(t0),
+	res := Result{Workers: workers, Elapsed: time.Since(t0), Latency: mergeHists(hists)}
+	for _, n := range done {
+		res.Ops += int64(n)
 	}
+	return res
 }
 
 // KeyStream produces a deterministic stream of keys in [0, n) for one

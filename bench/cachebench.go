@@ -174,8 +174,8 @@ func runCacheMix(mk func() cacheBackend, cfg Config, th, getPct, setPct int) Res
 		b.set(k, k)
 	}
 	var ctr cacheCounters
-	ops := cfg.ops(1 << 16)
-	res := RunLatency(th, ops, func(w int) func(int) {
+	ops := cfg.ops(1 << 17)
+	res := Run(th, ops, func(w int) func(int) {
 		keys, err := NewKeyStream(cacheKeySpace, 0.99, uint64(w)*7919+1)
 		if err != nil {
 			panic(err) // static parameters; cannot fail at runtime
@@ -229,8 +229,8 @@ func runCacheStampede(mk func() cacheBackend, cfg Config, th int) Result {
 	b := mk()
 	defer b.close()
 	var ctr cacheCounters
-	ops := cfg.ops(1 << 12)
-	res := RunLatency(th, ops, func(w int) func(int) {
+	ops := cfg.ops(1 << 13)
+	res := Run(th, ops, func(w int) func(int) {
 		hits, misses := 0, 0
 		var once sync.Once
 		fold := func() {
@@ -278,8 +278,8 @@ func runCacheLoopy(mk func() cacheBackend, cfg Config, th int) Result {
 		b.set(k, k) // warm the hot set; loop keys start cold
 	}
 	var ctr cacheCounters
-	ops := cfg.ops(1 << 16)
-	res := RunLatency(th, ops, func(w int) func(int) {
+	ops := cfg.ops(1 << 17)
+	res := Run(th, ops, func(w int) func(int) {
 		keys, err := NewKeyStream(cacheLoopHotKeys, 0.99, uint64(w)*7919+1)
 		if err != nil {
 			panic(err) // static parameters; cannot fail at runtime

@@ -26,10 +26,6 @@ var groupFamily = map[catalog.Cells]string{
 // derived returns the group's scenarios, for one structure family or (with
 // family "") for all of them, in catalogue order.
 func derived(group catalog.Cells, family string) []Scenario {
-	run := runner(RunLatency)
-	if group == catalog.Figure {
-		run = Run
-	}
 	var out []Scenario
 	for _, wl := range catalog.Workloads() {
 		if wl.Group != group || family != "" && wl.Family != family {
@@ -46,7 +42,7 @@ func derived(group catalog.Cells, family string) []Scenario {
 					label = r.Label + "/" + reclaimLabel(o)
 				}
 				s.Algos = append(s.Algos, ScenarioAlgo{Label: label, Run: func(cfg Config, th int) Result {
-					return runWorkload(cfg, r, o, wl, th, run)
+					return runWorkload(cfg, r, o, wl, th)
 				}})
 			}
 		}
@@ -93,10 +89,10 @@ func reclaimLabel(o catalog.Options) string {
 
 // runWorkload measures one derived cell: build row r under o, drive wl on
 // it, and attach the structure's gauges.
-func runWorkload(cfg Config, r catalog.Row, o catalog.Options, wl catalog.Workload, th int, run runner) Result {
+func runWorkload(cfg Config, r catalog.Row, o catalog.Options, wl catalog.Workload, th int) Result {
 	o.Workers = th
 	s, dom := r.New(o)
-	res := drive(cfg, r, s, wl, th, run)
+	res := drive(cfg, r, s, wl, th)
 	res.Gauges = cellGauges(s, dom, wl.Group&(catalog.ReclaimFigure|catalog.ReclaimScenario) != 0)
 	return res
 }
@@ -105,7 +101,7 @@ func runWorkload(cfg Config, r catalog.Row, o catalog.Options, wl catalog.Worklo
 // from th workers. Each worker draws operation kinds from an
 // exact-proportion MixGen and keys from its own stream, so cells differ
 // only in the structure under test.
-func drive(cfg Config, r catalog.Row, s any, wl catalog.Workload, th int, run runner) Result {
+func drive(cfg Config, r catalog.Row, s any, wl catalog.Workload, th int) Result {
 	fill, pre := r.Worker(s, 0), xrand.New(99)
 	for i := 0; i < wl.Prefill; i++ {
 		k := i
@@ -114,7 +110,7 @@ func drive(cfg Config, r catalog.Row, s any, wl catalog.Workload, th int, run ru
 		}
 		fill(0, k)
 	}
-	return run(th, cfg.ops(wl.Ops)/th+1, func(w int) func(int) {
+	return Run(th, cfg.ops(wl.Ops)/th+1, func(w int) func(int) {
 		apply := r.Worker(s, w)
 		mix := NewMixGen(uint64(w)*7919+1, wl.MixFor(w)...)
 		if wl.Keys == 0 {

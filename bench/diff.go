@@ -8,10 +8,10 @@ import (
 	"sort"
 )
 
-// Report diffing: the tooling that turns two BENCH_*.json trajectory
-// points into a reviewable statement about what got faster, slower, or
-// disappeared. cmd/benchdiff is the CLI; CI uses the regression flags to
-// gate on the noise threshold.
+// Report diffing: the tooling that turns two reports into a reviewable
+// statement about what got faster, slower, or disappeared. A cell is judged
+// against the spread its own trials recorded, not against a flat threshold;
+// cmd/benchdiff is the CLI and exits nonzero on a regression.
 
 // CellKey identifies one measured cell across reports: the
 // (experiment/family, scenario, algorithm, threads) coordinate every
@@ -42,11 +42,14 @@ type CellDiff struct {
 	HasP99         bool
 	OldP99, NewP99 int64
 	P99Delta       float64
-	// ValueRegression marks a headline-value drop beyond the noise
-	// threshold; P99Regression marks a p99 rise beyond it. Higher is
-	// better for both supported units (mops, percent), lower for p99.
-	ValueRegression bool
-	P99Regression   bool
+	// Resolved is set when the reports are comparable and both records carry
+	// a trial spread; the verdicts below are only ever set on resolved cells.
+	Resolved bool
+	// ValueRegression marks a new value spread lying wholly below the old
+	// one, P99Regression a new p99 spread wholly above it, Improved the
+	// reverse on either axis. Higher is better for both supported units
+	// (mops, percent), lower for p99.
+	ValueRegression, P99Regression, Improved bool
 }
 
 // Regressed reports whether the cell regressed on either axis.
@@ -54,46 +57,57 @@ func (c CellDiff) Regressed() bool { return c.ValueRegression || c.P99Regression
 
 // Diff is the join of two reports.
 type Diff struct {
-	// Noise is the fractional threshold the regression flags used.
-	Noise float64
+	// NotComparable, when non-empty, names the meta fields (num_cpu,
+	// gomaxprocs, quick) the reports disagree on; no cell is judged then.
+	NotComparable string
 	// Cells holds every key present in both reports, in the new report's
-	// record order.
-	Cells []CellDiff
+	// record order; Regressed counts those whose trial spreads are disjoint
+	// in the losing direction, Unresolved those that could not be judged.
+	Cells                 []CellDiff
+	Regressed, Unresolved int
 	// OnlyOld and OnlyNew list cells that exist in one report only
 	// (dropped and added coverage, respectively), sorted by key.
 	OnlyOld, OnlyNew []CellKey
 }
 
-// Regressions returns the cells that regressed beyond the noise threshold.
-func (d Diff) Regressions() []CellDiff {
-	var out []CellDiff
-	for _, c := range d.Cells {
-		if c.Regressed() {
-			out = append(out, c)
-		}
+// DiffReports joins two reports by cell key. A cell regressed only when
+// both records carry trial spreads and the intervals are disjoint; without
+// spreads it is unresolved, and between reports whose meta differs in
+// num_cpu, gomaxprocs or quick nothing is judged at all. A key that occurs
+// twice inside one report is an error.
+func DiffReports(oldR, newR Report) (Diff, error) {
+	var d Diff
+	if o, n := oldR.Meta, newR.Meta; o.NumCPU != n.NumCPU || o.GOMAXPROCS != n.GOMAXPROCS || o.Quick != n.Quick {
+		d.NotComparable = fmt.Sprintf("old has num_cpu=%d gomaxprocs=%d quick=%v, new has num_cpu=%d gomaxprocs=%d quick=%v",
+			o.NumCPU, o.GOMAXPROCS, o.Quick, n.NumCPU, n.GOMAXPROCS, n.Quick)
 	}
-	return out
-}
-
-// DiffReports joins two reports by cell key and flags regressions beyond
-// the fractional noise threshold (0.10 = 10%). Quick-mode runs are noisy;
-// the threshold exists so CI only fails on drops that outrun it.
-func DiffReports(oldR, newR Report, noise float64) Diff {
-	d := Diff{Noise: noise}
 	oldByKey := make(map[CellKey]Record, len(oldR.Records))
 	for _, r := range oldR.Records {
-		oldByKey[recordKey(r)] = r
+		k := recordKey(r)
+		if _, dup := oldByKey[k]; dup {
+			return d, fmt.Errorf("bench: old report has two records for cell %v", k)
+		}
+		oldByKey[k] = r
 	}
 	newKeys := make(map[CellKey]bool, len(newR.Records))
 	for _, nr := range newR.Records {
 		k := recordKey(nr)
+		if newKeys[k] {
+			return d, fmt.Errorf("bench: new report has two records for cell %v", k)
+		}
 		newKeys[k] = true
 		or, ok := oldByKey[k]
 		if !ok {
 			d.OnlyNew = append(d.OnlyNew, k)
 			continue
 		}
-		d.Cells = append(d.Cells, diffCell(k, or, nr, noise))
+		c := diffCell(k, or, nr, d.NotComparable == "")
+		d.Cells = append(d.Cells, c)
+		if c.Regressed() {
+			d.Regressed++
+		} else if !c.Resolved {
+			d.Unresolved++
+		}
 	}
 	for _, or := range oldR.Records {
 		if k := recordKey(or); !newKeys[k] {
@@ -102,27 +116,37 @@ func DiffReports(oldR, newR Report, noise float64) Diff {
 	}
 	sortKeys(d.OnlyOld)
 	sortKeys(d.OnlyNew)
-	return d
+	return d, nil
 }
 
 func recordKey(r Record) CellKey {
 	return CellKey{Family: r.Family, Scenario: r.Scenario, Algo: r.Algo, Threads: r.Threads}
 }
 
-func diffCell(k CellKey, or, nr Record, noise float64) CellDiff {
-	c := CellDiff{Key: k, OldValue: or.Value, NewValue: nr.Value}
+func diffCell(k CellKey, or, nr Record, judge bool) CellDiff {
+	c := CellDiff{Key: k, OldValue: or.Value, NewValue: nr.Value,
+		Resolved: judge && or.Trials > 1 && nr.Trials > 1}
 	if or.Unit == nr.Unit {
 		c.Unit = or.Unit
 		if or.Value > 0 {
 			c.ValueDelta = (nr.Value - or.Value) / or.Value
-			c.ValueRegression = -c.ValueDelta > noise
+		}
+		if c.Resolved {
+			c.ValueRegression, c.Improved = nr.Hi < or.Lo, nr.Lo > or.Hi
 		}
 	}
 	if or.Samples > 0 && nr.Samples > 0 && or.P99Ns > 0 {
 		c.HasP99 = true
 		c.OldP99, c.NewP99 = or.P99Ns, nr.P99Ns
 		c.P99Delta = float64(nr.P99Ns-or.P99Ns) / float64(or.P99Ns)
-		c.P99Regression = c.P99Delta > noise
+		if c.Resolved {
+			// Percentiles are bucket midpoints, ±half a bucket: spreads in
+			// adjacent buckets touch.
+			const half = 1.0 / (2 << histSubBits)
+			above := func(a, b int64) bool { return float64(a)*(1-half) > float64(b)*(1+half) }
+			c.P99Regression = above(nr.P99LoNs, or.P99HiNs)
+			c.Improved = c.Improved || above(or.P99LoNs, nr.P99HiNs)
+		}
 	}
 	return c
 }
@@ -131,7 +155,7 @@ func sortKeys(keys []CellKey) {
 	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 }
 
-// LoadReport reads a cds-bench/v1 JSON report from disk, verifying the
+// LoadReport reads a JSON report from disk, verifying the
 // schema so two incompatible layouts are never silently joined.
 func LoadReport(path string) (Report, error) {
 	f, err := os.Open(path)
@@ -155,19 +179,21 @@ func ReadReport(r io.Reader) (Report, error) {
 }
 
 // Render writes the diff as an aligned table: one row per joined cell,
-// with fractional deltas as percentages and regressions flagged in the
-// last column. Cells whose delta stays within the noise threshold on both
-// axes are summarised unless verbose is set.
+// with fractional deltas as percentages and the verdict in the last column.
+// Cells with overlapping or missing spreads are summarised unless verbose
+// is set; between reports that are not comparable every delta is printed
+// and none is flagged.
 func (d Diff) Render(w io.Writer, verbose bool) error {
-	quiet := 0
-	if _, err := fmt.Fprintf(w, "%-66s %12s %12s %8s %9s %s\n",
-		"cell (family | scenario | algo | threads)", "old", "new", "Δvalue", "Δp99", "flag"); err != nil {
-		return err
+	var err error
+	printf := func(format string, args ...any) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, format, args...)
+		}
 	}
+	printf("%-66s %12s %12s %8s %9s %s\n", "cell (family | scenario | algo | threads)", "old", "new", "Δvalue", "Δp99", "flag")
+	quiet := 0
 	for _, c := range d.Cells {
-		interesting := c.Regressed() ||
-			c.ValueDelta > d.Noise || (c.HasP99 && -c.P99Delta > d.Noise)
-		if !verbose && !interesting {
+		if !verbose && d.NotComparable == "" && !c.Regressed() && !c.Improved {
 			quiet++
 			continue
 		}
@@ -183,29 +209,21 @@ func (d Diff) Render(w io.Writer, verbose bool) error {
 			flag = "REGRESSION(value)"
 		case c.P99Regression:
 			flag = "REGRESSION(p99)"
-		case interesting:
+		case c.Improved:
 			flag = "improved"
+		case !c.Resolved && d.NotComparable == "":
+			flag = "unresolved"
 		}
-		if _, err := fmt.Fprintf(w, "%-66s %12.4f %12.4f %+7.1f%% %9s %s\n",
-			c.Key.String(), c.OldValue, c.NewValue, 100*c.ValueDelta, p99, flag); err != nil {
-			return err
-		}
+		printf("%-66s %12.4f %12.4f %+7.1f%% %9s %s\n", c.Key.String(), c.OldValue, c.NewValue, 100*c.ValueDelta, p99, flag)
 	}
 	if quiet > 0 {
-		if _, err := fmt.Fprintf(w, "(%d cells within ±%.0f%% noise suppressed; -v shows them)\n",
-			quiet, 100*d.Noise); err != nil {
-			return err
-		}
+		printf("(%d cells with overlapping or missing spreads suppressed; -v shows them)\n", quiet)
 	}
 	for _, k := range d.OnlyOld {
-		if _, err := fmt.Fprintf(w, "only in old report: %s\n", k); err != nil {
-			return err
-		}
+		printf("only in old report: %s\n", k)
 	}
 	for _, k := range d.OnlyNew {
-		if _, err := fmt.Fprintf(w, "only in new report: %s\n", k); err != nil {
-			return err
-		}
+		printf("only in new report: %s\n", k)
 	}
-	return nil
+	return err
 }

@@ -19,10 +19,10 @@ type Config struct {
 	// Threads is the sweep of worker counts; nil selects the default
 	// ladder up to GOMAXPROCS.
 	Threads []int
-	// Ops is the per-worker operation count; 0 selects per-experiment
-	// defaults.
+	// Ops is the operation budget of a cell, which most cells split among
+	// their workers; 0 selects per-experiment defaults.
 	Ops int
-	// Quick divides the workload for smoke runs.
+	// Quick caps the workload at smoke size and measures every cell once.
 	Quick bool
 }
 
@@ -78,7 +78,7 @@ func Experiments() []Experiment {
 	}
 	return append([]Experiment{
 		{ID: "F1", Title: "Spin-lock scalability (tiny critical section)",
-			Scenarios: one(lockScenario("F1: lock throughput, counter critical section", 200000, 0, true, Run))},
+			Scenarios: one(lockScenario("F1: lock throughput, counter critical section", 2000000, 0, true))},
 		{ID: "F2", Title: "Shared counter throughput", Scenarios: figure(catalog.Figure, "counter")},
 		{ID: "F3", Title: "Stack algorithms, 50/50 push-pop", Scenarios: figure(catalog.Figure, "stack")},
 		{ID: "F4", Title: "Queue algorithms, 50/50 enq-deq", Scenarios: figure(catalog.Figure, "queue")},
@@ -88,11 +88,11 @@ func Experiments() []Experiment {
 		{ID: "F8", Title: "Priority queues, 50/50 insert-deleteMin", Scenarios: figure(catalog.Figure, "pqueue")},
 		{ID: "F9", Title: "Work-stealing deque vs. locked deque", XLabel: "stealers", Scenarios: one(workStealingScenario())},
 		{ID: "F10", Title: "Barrier episode throughput",
-			Scenarios: one(barrierScenario("F10: barrier episodes per second (Mops column = M episodes/s × threads)", 0, Run))},
+			Scenarios: one(barrierScenario("F10: barrier episodes per second (Mops column = M episodes/s × threads)", 0))},
 		{ID: "F11", Title: "STM bank transfers vs. global lock", Scenarios: func() []Scenario {
 			return []Scenario{
-				stmScenario("F11: bank transfers/s, 64 accounts", 64, 100000, Run),
-				stmScenario("F11: bank transfers/s, 65536 accounts", 1<<16, 100000, Run),
+				stmScenario("F11: bank transfers/s, 64 accounts", 64, 1200000),
+				stmScenario("F11: bank transfers/s, 65536 accounts", 1<<16, 1200000),
 			}
 		}},
 		{ID: "F12", Title: "Memory reclamation on the lock-free structures: GC vs. EBR vs. HP vs. recycled",
@@ -113,10 +113,8 @@ func Experiments() []Experiment {
 }
 
 // ScenarioExperiments exposes the workload-mix matrix of bench/scenario.go
-// as one experiment per structure family (S1, S2, ...): each runs at
-// least two scenario mixes per family with per-operation latency sampling,
-// rendered as throughput and p99 tables in text mode and as latency-rich
-// records in a JSON Report.
+// as one experiment per structure family (S1, S2, ...), each running at
+// least two scenario mixes.
 func ScenarioExperiments() []Experiment {
 	var exps []Experiment
 	for i, family := range ScenarioFamilies() {
@@ -141,7 +139,6 @@ func ScenarioExperiments() []Experiment {
 // and assembles their records into a Report.
 func BuildReport(cfg Config, exps []Experiment) Report {
 	rep := Report{Schema: ReportSchema, Meta: NewMeta(cfg.Quick)}
-	rep.Summary = RunSummary(rep.Meta)
 	for _, e := range exps {
 		rep.Records = append(rep.Records, e.Records(cfg)...)
 	}
@@ -198,7 +195,7 @@ func workStealingScenario() Scenario {
 		s.Algos = append(s.Algos, ScenarioAlgo{Label: r.Label, Run: func(cfg Config, thieves int) Result {
 			built, _ := r.New(catalog.Options{})
 			d := built.(cds.Deque[int])
-			ownerOps := cfg.ops(2000000)
+			ownerOps := cfg.ops(1000000)
 			var (
 				wg       sync.WaitGroup
 				stop     atomic.Bool
@@ -281,7 +278,7 @@ func overviewScenario() Scenario {
 			// so the catalogue excludes it; one thread may play both roles.
 			{Label: "queue.SPSC", Family: "queue", Run: func(cfg Config, _ int) Result {
 				ring := queue.NewSPSC[int](1024)
-				return Run(1, cfg.ops(1000000), func(int) func(int) {
+				return Run(1, cfg.ops(2000000), func(int) func(int) {
 					return func(i int) {
 						ring.TryEnqueue(i)
 						ring.TryDequeue()
@@ -310,7 +307,7 @@ func skewScenario() Scenario {
 	for _, r := range catalog.Select("cmap", catalog.Figure) {
 		s.Algos = append(s.Algos, ScenarioAlgo{Label: r.Label, Run: func(cfg Config, theta100 int) Result {
 			wl := catalog.MapReads(50, float64(theta100)/100, s.Name)
-			return runWorkload(cfg, r, catalog.Options{}, wl, fullThreads(), Run)
+			return runWorkload(cfg, r, catalog.Options{}, wl, fullThreads())
 		}})
 	}
 	return s

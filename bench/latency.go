@@ -3,7 +3,6 @@ package bench
 import (
 	"math"
 	"math/bits"
-	"time"
 )
 
 // Latency histogram parameters. Values are bucketed by octave (position of
@@ -23,7 +22,7 @@ const (
 
 // Histogram is a log-bucketed latency histogram over nanosecond values.
 // It is not safe for concurrent use: each benchmark worker records into its
-// own instance and the runner merges them after the measured region.
+// own instance and Run merges them after the measured region.
 type Histogram struct {
 	counts [histBuckets]uint64
 	total  uint64
@@ -34,6 +33,23 @@ type Histogram struct {
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
 	return &Histogram{min: -1}
+}
+
+// newHists returns one empty histogram per worker; mergeHists folds them.
+func newHists(workers int) []*Histogram {
+	hists := make([]*Histogram, workers)
+	for i := range hists {
+		hists[i] = NewHistogram()
+	}
+	return hists
+}
+
+func mergeHists(hists []*Histogram) *Histogram {
+	merged := NewHistogram()
+	for _, h := range hists {
+		merged.Merge(h)
+	}
+	return merged
 }
 
 // bucketIndex maps a nanosecond value to its bucket.
@@ -135,52 +151,4 @@ func (h *Histogram) Percentile(p float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Summary is the fixed percentile set reported by benchmark records.
-type Summary struct {
-	// P50, P90, P99, P999 are latency percentiles in nanoseconds.
-	P50, P90, P99, P999 int64
-	// Samples is the number of recorded operations.
-	Samples uint64
-}
-
-// Summary extracts the standard percentile set.
-func (h *Histogram) Summary() Summary {
-	return Summary{
-		P50:     h.Percentile(50),
-		P90:     h.Percentile(90),
-		P99:     h.Percentile(99),
-		P999:    h.Percentile(99.9),
-		Samples: h.total,
-	}
-}
-
-// RunLatency is Run with per-operation latency sampling: every operation
-// is individually timed into a per-worker Histogram, and the merged
-// histogram is attached to the Result. The two time.Now calls per
-// operation add roughly 30-60ns of overhead to each op, so throughput
-// numbers from RunLatency are comparable with each other but not with
-// plain Run; the experiment suite uses Run for throughput figures and
-// RunLatency for the scenario records.
-func RunLatency(workers, opsPerWorker int, mkOp func(w int) func(i int)) Result {
-	hists := make([]*Histogram, workers)
-	for w := range hists {
-		hists[w] = NewHistogram()
-	}
-	res := Run(workers, opsPerWorker, func(w int) func(int) {
-		op := mkOp(w)
-		h := hists[w]
-		return func(i int) {
-			t0 := time.Now()
-			op(i)
-			h.Record(time.Since(t0).Nanoseconds())
-		}
-	})
-	merged := NewHistogram()
-	for _, h := range hists {
-		merged.Merge(h)
-	}
-	res.Latency = merged
-	return res
 }

@@ -1,9 +1,12 @@
 package bench
 
 import (
-	"github.com/cds-suite/cds/internal/xrand"
 	"math"
+	"runtime"
 	"testing"
+	"time"
+
+	"github.com/cds-suite/cds/internal/xrand"
 )
 
 // TestHistogramExactSmallValues: below 2^histSubBits every value has its
@@ -117,23 +120,85 @@ func TestBucketRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunLatencySamplesEveryOp: the merged histogram must hold exactly
-// one sample per operation with plausible non-zero percentiles.
-func TestRunLatencySamplesEveryOp(t *testing.T) {
-	var sink [2]int
-	res := RunLatency(2, 5000, func(w int) func(int) {
-		return func(i int) { sink[w] += i }
+// TestRunSamplesOneOpPerBlock: Run times exactly one operation in every
+// block of SampleEvery (a short last block included), at the position
+// samplePos draws — deterministic, and not a fixed stride. The operations at
+// the predicted positions spin for a while and all others return at once,
+// so every sample is long exactly when Run timed the predicted calls.
+func TestRunSamplesOneOpPerBlock(t *testing.T) {
+	const workers, n, spin = 3, 1000, 50 * time.Microsecond
+	blocks := (n + SampleEvery - 1) / SampleEvery
+	want := make([]map[int]bool, workers)
+	strided := true
+	for w := range want {
+		want[w] = map[int]bool{}
+		for b := 0; b < blocks; b++ {
+			blockLen := min(SampleEvery, n-b*SampleEvery)
+			pos := samplePos(w, b, blockLen)
+			if pos != samplePos(w, b, blockLen) {
+				t.Fatalf("samplePos(%d, %d) is not deterministic", w, b)
+			}
+			if pos < 0 || pos >= blockLen {
+				t.Fatalf("samplePos(%d, %d, %d) = %d, outside the block", w, b, blockLen, pos)
+			}
+			if pos != samplePos(w, 0, SampleEvery) {
+				strided = false
+			}
+			want[w][b*SampleEvery+pos] = true
+		}
+	}
+	if strided {
+		t.Fatal("every block samples the same position: a fixed stride aliases with the op mixes")
+	}
+	calls := make([]int, workers)
+	res := Run(workers, n, func(w int) func(int) {
+		return func(i int) {
+			calls[w]++
+			if want[w][i] {
+				for t0 := time.Now(); time.Since(t0) < spin; {
+				}
+			}
+		}
 	})
-	if res.Latency == nil {
-		t.Fatal("RunLatency returned no histogram")
+	if res.Ops != workers*n {
+		t.Fatalf("Ops = %d, want %d", res.Ops, workers*n)
 	}
-	if res.Latency.Count() != uint64(res.Ops) {
-		t.Fatalf("samples = %d, ops = %d", res.Latency.Count(), res.Ops)
+	for w, c := range calls {
+		if c != n {
+			t.Fatalf("worker %d ran %d ops, want %d", w, c, n)
+		}
 	}
-	if p50, p99 := res.Latency.Percentile(50), res.Latency.Percentile(99); p50 <= 0 || p99 < p50 {
-		t.Fatalf("implausible percentiles: p50=%d p99=%d", p50, p99)
+	if got := res.Latency.Count(); got != uint64(workers*blocks) {
+		t.Fatalf("merged histogram holds %d samples, want workers × ⌈n/%d⌉ = %d", got, SampleEvery, workers*blocks)
 	}
-	_ = sink
+	if res.Latency.Min() < spin.Nanoseconds() {
+		t.Fatalf("a sample of %dns: Run timed a call samplePos did not pick", res.Latency.Min())
+	}
+}
+
+// TestRunCountsWorkersThatExitEarly: a closure may end its worker with
+// runtime.Goexit; Ops then counts the calls that returned, and the
+// abandoned call leaves no sample.
+func TestRunCountsWorkersThatExitEarly(t *testing.T) {
+	res := Run(2, 1000, func(w int) func(int) {
+		return func(i int) {
+			if w == 0 && i == 100 {
+				runtime.Goexit()
+			}
+		}
+	})
+	if res.Ops != 100+1000 {
+		t.Fatalf("Ops = %d, want 1100", res.Ops)
+	}
+	// Worker 1 samples all 16 blocks; worker 0 its first block and, if the
+	// draw falls before call 100, its second.
+	want := uint64(16 + 1)
+	if samplePos(0, 1, SampleEvery) < 100-SampleEvery {
+		want++
+	}
+	if got := res.Latency.Count(); got != want {
+		t.Fatalf("samples = %d, want %d", got, want)
+	}
 }
 
 // TestBucketGeometryProperty pins the precedence-sensitive midpoint

@@ -73,7 +73,7 @@ func runPoolWS(th int, wl poolWorkload) Result {
 	// are counted by the pool's own per-worker counters, so the measured
 	// loop adds no shared bookkeeping of its own.
 	spawns := make([]func(poolTask), th)
-	hists := poolHists(th)
+	hists := newHists(th)
 	p := pool.NewWorkStealing(func(w *pool.Worker[poolTask], t poolTask) {
 		hists[w.ID()].Record(time.Since(t.born).Nanoseconds())
 		spawn := spawns[w.ID()]
@@ -110,24 +110,6 @@ func runPoolWS(th int, wl poolWorkload) Result {
 	}
 }
 
-// poolHists allocates one sojourn histogram per worker; mergeHists folds
-// them for the Result.
-func poolHists(th int) []*Histogram {
-	hists := make([]*Histogram, th)
-	for i := range hists {
-		hists[i] = NewHistogram()
-	}
-	return hists
-}
-
-func mergeHists(hists []*Histogram) *Histogram {
-	merged := NewHistogram()
-	for _, h := range hists {
-		merged.Merge(h)
-	}
-	return merged
-}
-
 // stamped wraps a submit/spawn function with the sojourn birth stamp.
 func stamped(f func(poolTask)) func(poolTask) {
 	return func(t poolTask) {
@@ -136,29 +118,28 @@ func stamped(f func(poolTask)) func(poolTask) {
 	}
 }
 
-// runPoolSharedQueue measures the same workload on one coarse-locked
-// shared queue polled by th workers — no locality, every pop through one
-// lock.
-func runPoolSharedQueue(th int, wl poolWorkload) Result {
-	q := queue.NewMutex[poolTask]()
+// runPoolPolled measures the same workload on one shared queue that th
+// workers poll through pop — no locality, every task through one structure.
+// It is the body of both baselines: the coarse-locked queue (every pop
+// through one lock) and the buffered channel.
+func runPoolPolled(th int, wl poolWorkload, push func(poolTask), pop func() (poolTask, bool)) Result {
 	var pending, executed atomic.Int64
 	var prodDone atomic.Bool
 	submit := stamped(func(t poolTask) {
 		pending.Add(1)
-		q.Enqueue(t)
+		push(t)
 	})
-	hists := poolHists(th)
+	hists := newHists(th)
 	var wg sync.WaitGroup
 	t0 := time.Now()
 	for w := 0; w < th; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(h *Histogram) {
 			defer wg.Done()
-			h := hists[w]
 			ran := int64(0) // worker-local; folded in once at exit
 			defer func() { executed.Add(ran) }()
 			for {
-				t, ok := q.TryDequeue()
+				t, ok := pop()
 				if !ok {
 					if prodDone.Load() && pending.Load() == 0 {
 						return
@@ -171,50 +152,7 @@ func runPoolSharedQueue(th int, wl poolWorkload) Result {
 				ran++
 				pending.Add(-1)
 			}
-		}(w)
-	}
-	wl.produce(submit)
-	prodDone.Store(true)
-	wg.Wait()
-	return Result{Workers: th, Ops: executed.Load(), Elapsed: time.Since(t0), Latency: mergeHists(hists)}
-}
-
-// runPoolChannel measures the workload on a buffered channel sized to the
-// workload's task bound (so in-task spawns can never deadlock), the
-// idiomatic Go worker-pool baseline.
-func runPoolChannel(th int, wl poolWorkload) Result {
-	ch := make(chan poolTask, wl.maxTasks)
-	var pending, executed atomic.Int64
-	var prodDone atomic.Bool
-	submit := stamped(func(t poolTask) {
-		pending.Add(1)
-		ch <- t
-	})
-	hists := poolHists(th)
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for w := 0; w < th; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := hists[w]
-			ran := int64(0) // worker-local; folded in once at exit
-			defer func() { executed.Add(ran) }()
-			for {
-				select {
-				case t := <-ch:
-					h.Record(time.Since(t.born).Nanoseconds())
-					wl.handle(submit, t)
-					ran++
-					pending.Add(-1)
-				default:
-					if prodDone.Load() && pending.Load() == 0 {
-						return
-					}
-					runtime.Gosched()
-				}
-			}
-		}(w)
+		}(hists[w])
 	}
 	wl.produce(submit)
 	prodDone.Store(true)
@@ -229,10 +167,22 @@ func poolAlgos(mkWorkload func(cfg Config) poolWorkload) []ScenarioAlgo {
 			return runPoolWS(th, mkWorkload(cfg))
 		}},
 		{Label: "SharedQueue", Run: func(cfg Config, th int) Result {
-			return runPoolSharedQueue(th, mkWorkload(cfg))
+			q := queue.NewMutex[poolTask]()
+			return runPoolPolled(th, mkWorkload(cfg), q.Enqueue, q.TryDequeue)
 		}},
+		// The idiomatic Go worker-pool baseline: a buffered channel sized to
+		// the workload's task bound, so in-task spawns can never deadlock.
 		{Label: "Channel", Run: func(cfg Config, th int) Result {
-			return runPoolChannel(th, mkWorkload(cfg))
+			wl := mkWorkload(cfg)
+			ch := make(chan poolTask, wl.maxTasks)
+			return runPoolPolled(th, wl, func(t poolTask) { ch <- t }, func() (t poolTask, ok bool) {
+				select {
+				case t = <-ch:
+					return t, true
+				default:
+					return t, false
+				}
+			})
 		}},
 	}
 }
@@ -241,7 +191,7 @@ func poolAlgos(mkWorkload func(cfg Config) poolWorkload) []ScenarioAlgo {
 // one submitted root forks down to ~ops leaves of ~300ns each — parallel
 // divide-and-conquer, the canonical work-stealing workload.
 func forkJoinWorkload(cfg Config) poolWorkload {
-	ops := cfg.ops(1 << 15)
+	ops := cfg.ops(1 << 17)
 	depth := bits.Len(uint(ops)) - 1
 	if depth < 4 {
 		depth = 4
@@ -271,7 +221,7 @@ func forkJoinWorkload(cfg Config) poolWorkload {
 // consumers oscillate between draining a burst and going idle — the
 // regime that exercises the spin-then-park path (watch the parks gauge).
 func fanOutWorkload(cfg Config) poolWorkload {
-	ops := cfg.ops(1 << 15)
+	ops := cfg.ops(1 << 17)
 	const burst = 64
 	return poolWorkload{
 		maxTasks: ops + burst,
@@ -295,7 +245,7 @@ func fanOutWorkload(cfg Config) poolWorkload {
 // deque the others must steal from — imbalance by construction, which is
 // the case for stealing over a shared queue's implicit rebalancing.
 func zipfFanWorkload(cfg Config) poolWorkload {
-	ops := cfg.ops(1 << 15)
+	ops := cfg.ops(1 << 17)
 	const maxFan = 128
 	batches := ops / 16
 	if batches < 1 {

@@ -13,9 +13,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// goldenReport is a fully deterministic report: fixed meta, one
-// latency-rich scenario record and one figure-derived record, covering
-// both serialization shapes.
+// goldenReport is a fully deterministic report: fixed meta, one full
+// five-trial record with its spread, a single-trial percent record and one
+// carrying gauges — every serialization shape.
 func goldenReport() Report {
 	return Report{
 		Schema: ReportSchema,
@@ -26,10 +26,10 @@ func goldenReport() Report {
 			NumCPU:      8,
 			GOMAXPROCS:  8,
 			GitRevision: "abc1234",
-			Quick:       true,
+			Quick:       false,
 			UnixTime:    0,
+			TimerNs:     41.5,
 		},
-		Summary: "num_cpu=8 gomaxprocs=8 — fixed golden summary",
 		Records: []Record{
 			{
 				Family:    "queue",
@@ -45,7 +45,12 @@ func goldenReport() Report {
 				P90Ns:     102,
 				P99Ns:     913,
 				P999Ns:    4096,
-				Samples:   400000,
+				Samples:   6252,
+				Trials:    5,
+				Lo:        12.1,
+				Hi:        12.75,
+				P99LoNs:   880,
+				P99HiNs:   1021,
 			},
 			{
 				Family:   "stack",
@@ -92,7 +97,7 @@ func TestReportGoldenJSON(t *testing.T) {
 }
 
 // TestReportRoundTrip: what WriteJSON emits, encoding/json reads back
-// unchanged — the property BENCH_*.json consumers rely on.
+// unchanged — the property BENCH.json consumers rely on.
 func TestReportRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := goldenReport()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,10 +26,10 @@ import (
 
 // The scenario engine complements the throughput-vs-threads figures with a
 // matrix of mixed workloads: read/write ratio sweeps, Zipfian vs. uniform
-// key streams, and producer/consumer-asymmetric mixes. Every cell is
-// measured with RunLatency, so scenario records carry the tail-latency
-// percentiles the throughput figures cannot observe — the regime where
-// lock-free and blocking designs differ most (Cederman et al.).
+// key streams, and producer/consumer-asymmetric mixes. Like the figures'
+// cells they are timed by Run, so every record carries the tail-latency
+// percentiles — the regime where lock-free and blocking designs differ
+// most (Cederman et al.).
 
 // mixBlock is the period over which MixGen proportions are exact.
 const mixBlock = 100
@@ -149,20 +150,61 @@ func (s Scenario) Plan(cfg Config) []Record {
 	return recs
 }
 
-// Run measures the scenario, returning one record per planned cell.
+// measuredTrials is the repetition of a full run: Run builds every cell
+// once as a discarded warm-up and then this many times for the record. A
+// quick run measures once.
+const measuredTrials = 5
+
+// Run measures the scenario, returning one record per planned cell. It is
+// the one place repetition lives: each trial is a freshly built cell (a.Run
+// constructs, prefills and drives it), the record is the median trial by
+// headline value, and the spread fields span the trials. Trials go pass by
+// pass over the scenario's cells, so those of one cell are spread over the
+// scenario's run time rather than taken back to back.
 func (s Scenario) Run(cfg Config) []Record {
 	recs, xs := s.Plan(cfg), s.Sweep(cfg)
-	for i, key := range recs {
-		a := s.Algos[i/len(xs)]
-		res := a.Run(cfg, key.Threads)
-		if a.Percent {
-			recs[i].Value = res.Percent
-			continue
+	warmups, n := 1, measuredTrials
+	if cfg.Quick {
+		warmups, n = 0, 1
+	}
+	trials := make([][]Record, len(recs))
+	for pass := -warmups; pass < n; pass++ {
+		for i, key := range recs {
+			a := s.Algos[i/len(xs)]
+			runtime.GC() // the previous trial's structure is garbage: collect it off the clock
+			res := a.Run(cfg, key.Threads)
+			rec := res.Record(key.Family, key.Algo, key.Scenario)
+			rec.Threads = key.Threads
+			if a.Percent {
+				rec = key
+				rec.Value = res.Percent
+			}
+			if pass >= 0 {
+				trials[i] = append(trials[i], rec)
+			}
 		}
-		recs[i] = res.Record(key.Family, key.Algo, key.Scenario)
-		recs[i].Threads = key.Threads
+	}
+	for i := range recs {
+		recs[i] = medianTrial(trials[i])
 	}
 	return recs
+}
+
+// medianTrial returns the trial with the median headline value, annotated
+// with the trial count and, when there is more than one, the [lo, hi] of
+// the trials' values and p99s.
+func medianTrial(trials []Record) Record {
+	sort.Slice(trials, func(i, j int) bool { return trials[i].Value < trials[j].Value })
+	rec := trials[len(trials)/2]
+	rec.Trials = len(trials)
+	if len(trials) > 1 {
+		rec.Lo, rec.Hi = trials[0].Value, trials[len(trials)-1].Value
+		rec.P99LoNs, rec.P99HiNs = rec.P99Ns, rec.P99Ns
+		for _, t := range trials {
+			rec.P99LoNs, rec.P99HiNs = min(rec.P99LoNs, t.P99Ns), max(rec.P99HiNs, t.P99Ns)
+		}
+	}
+	return rec
 }
 
 // Scenarios returns the full mixed-workload matrix: at least two scenario
@@ -170,12 +212,12 @@ func (s Scenario) Run(cfg Config) []Record {
 // S-experiment numbering follows the order families first appear in.
 func Scenarios() []Scenario {
 	all := derived(catalog.Scenario, "")
-	all = append(all, stmScenario("transfer-64-accounts", 64, 60000, RunLatency),
-		stmScenario("transfer-8k-accounts", 1<<13, 60000, RunLatency),
-		lockScenario("tiny-critical-section", 100000, 0, false, RunLatency),
-		lockScenario("long-critical-section-~250ns", 100000, 64, false, RunLatency),
-		barrierScenario("back-to-back-episodes", 0, RunLatency),
-		barrierScenario("staggered-arrival", 64, RunLatency))
+	all = append(all, stmScenario("transfer-64-accounts", 64, 1200000),
+		stmScenario("transfer-8k-accounts", 1<<13, 1200000),
+		lockScenario("tiny-critical-section", 2000000, 0, false),
+		lockScenario("long-critical-section-~250ns", 200000, 64, false),
+		barrierScenario("back-to-back-episodes", 0),
+		barrierScenario("staggered-arrival", 64))
 	all = append(all, reclaimScenarios()...)
 	all = append(all, derived(catalog.Contend, "")...)
 	all = append(all, derived(catalog.ReclaimScenario, "")...)
@@ -240,15 +282,11 @@ func (f *Figure) addPoint(label string, x int, v float64) {
 	f.Series = append(f.Series, Series{Label: label, Points: []Point{{X: x, Mops: v}}})
 }
 
-// runner is Run or RunLatency: the figures time whole runs, the scenario
-// mixes sample every operation.
-type runner func(workers, opsPerWorker int, mkOp func(w int) func(i int)) Result
-
 // --- bespoke families -------------------------------------------------------
 
 // stmScenario is the bank-transfer workload of F11 and S9: STM transactions
 // against one global lock, over the given number of accounts.
-func stmScenario(name string, accounts, ops int, run runner) Scenario {
+func stmScenario(name string, accounts, ops int) Scenario {
 	transfer := func(w int, move func(from, to int)) func(int) {
 		rng := xrand.New(uint64(w) + 23)
 		return func(int) {
@@ -265,7 +303,7 @@ func stmScenario(name string, accounts, ops int, run runner) Scenario {
 			for i := range vars {
 				vars[i] = stm.NewTVar(1000)
 			}
-			return run(th, cfg.ops(ops)/th+1, func(w int) func(int) {
+			return Run(th, cfg.ops(ops)/th+1, func(w int) func(int) {
 				return transfer(w, func(from, to int) {
 					stm.Atomically(func(tx *stm.Txn) {
 						f := vars[from].Read(tx)
@@ -278,7 +316,7 @@ func stmScenario(name string, accounts, ops int, run runner) Scenario {
 		{Label: "GlobalLock", Run: func(cfg Config, th int) Result {
 			balances := make([]int, accounts)
 			var mu sync.Mutex
-			return run(th, cfg.ops(ops)/th+1, func(w int) func(int) {
+			return Run(th, cfg.ops(ops)/th+1, func(w int) func(int) {
 				return transfer(w, func(from, to int) {
 					mu.Lock()
 					balances[from]--
@@ -318,7 +356,7 @@ func sharedLocker(mk func() sync.Locker) func() func() sync.Locker {
 // controls the critical-section length: 0 is the tiny increment-only
 // section of F1, larger values emulate real protected work (~4ns per
 // SplitMix64 round).
-func lockScenario(name string, ops, csWork int, all bool, run runner) Scenario {
+func lockScenario(name string, ops, csWork int, all bool) Scenario {
 	s := Scenario{Family: "locks", Name: name}
 	for _, im := range lockImpls {
 		if !all && !im.scenario {
@@ -327,7 +365,7 @@ func lockScenario(name string, ops, csWork int, all bool, run runner) Scenario {
 		s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
 			factory := im.mk()
 			shared := uint64(0)
-			return run(th, cfg.ops(ops)/th+1, func(int) func(int) {
+			return Run(th, cfg.ops(ops)/th+1, func(int) func(int) {
 				l := factory()
 				return func(int) {
 					l.Lock()
@@ -368,12 +406,12 @@ var barrierImpls = []struct {
 // larger values stagger the arrivals — the regime where tree/dissemination
 // structure pays off because early arrivals overlap waiting with the
 // stragglers' work.
-func barrierScenario(name string, phaseWork int, run runner) Scenario {
+func barrierScenario(name string, phaseWork int) Scenario {
 	s := Scenario{Family: "barrier", Name: name}
 	for _, im := range barrierImpls {
 		s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
 			handle := im.mk(th)
-			return run(th, cfg.ops(20000), func(w int) func(int) {
+			return Run(th, cfg.ops(250000), func(w int) func(int) {
 				h := handle()
 				sink := uint64(w)
 				return func(int) {
@@ -396,8 +434,7 @@ func reclaimScenarios() []Scenario {
 			c := epoch.NewCollector()
 			var shared atomic.Pointer[node]
 			shared.Store(&node{})
-			ops := cfg.ops(100000)
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
+			return Run(th, cfg.ops(1500000)/th+1, func(w int) func(int) {
 				p := c.Register()
 				mix := NewMixGen(uint64(w)*61+31, readPct, 100-readPct)
 				return func(int) {
@@ -416,8 +453,7 @@ func reclaimScenarios() []Scenario {
 			d := hazard.NewDomain()
 			var shared atomic.Pointer[node]
 			shared.Store(&node{})
-			ops := cfg.ops(100000)
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
+			return Run(th, cfg.ops(1500000)/th+1, func(w int) func(int) {
 				h := d.NewHandle(1)
 				mix := NewMixGen(uint64(w)*61+31, readPct, 100-readPct)
 				return func(int) {
@@ -472,7 +508,7 @@ func stalledReaderScenario() Scenario {
 					s.Add(pre.Intn(keyRange))
 				}
 				stall := dom.NewGuard(1)
-				res := RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
+				res := Run(th, cfg.ops(300000)/th+1, func(w int) func(int) {
 					if w == 0 {
 						// The stalled reader: reads inside a section it only
 						// leaves every stallBatch operations.
@@ -560,6 +596,12 @@ func dualGauges(st dual.Stats) map[string]float64 {
 // benchmarks").
 const dualOpTimeout = 100 * time.Microsecond
 
+// dualCellBudget bounds a dual cell's wall time. Timers are coarse (the
+// 100µs deadline is delivered after ~1.1ms on a virtualised box), so a cell
+// where most operations cancel would otherwise spend a minute timing the
+// host's timer slack; Result.Ops and the gauges report what actually ran.
+const dualCellBudget = 2 * time.Second
+
 // dualScenarios (experiment S15) measures the blocking family under the
 // three regimes the dual design targets: producer-heavy backpressure,
 // bursty production with consumer droughts (parks), and a symmetric
@@ -596,9 +638,18 @@ func dualScenarios() []Scenario {
 			mk := im.mk
 			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
 				q, gauges := mk(capacity)
-				ops := cfg.ops(60000)
-				res := RunLatency(th, ops/th+1, func(w int) func(int) {
-					return roles(w, q)
+				// The cell ends at its op budget or its wall budget: workers
+				// are independent, so one that stops early strands nothing.
+				var expired atomic.Bool
+				defer time.AfterFunc(dualCellBudget, func() { expired.Store(true) }).Stop()
+				res := Run(th, cfg.ops(100000)/th+1, func(w int) func(int) {
+					op := roles(w, q)
+					return func(i int) {
+						if expired.Load() {
+							runtime.Goexit()
+						}
+						op(i)
+					}
 				})
 				if gauges != nil {
 					res.Gauges = gauges()

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"testing"
+	"time"
 )
 
 // TestMixGenExactCounts: every block of 100 draws carries exactly the
@@ -121,10 +122,52 @@ func TestScenarioRecordsCarryLatency(t *testing.T) {
 		if r.Ops == 0 || r.ElapsedNs == 0 || r.Value <= 0 || r.Unit != UnitMops {
 			t.Errorf("degenerate measurement: %+v", r)
 		}
-		if r.P50Ns <= 0 || r.P99Ns < r.P50Ns || r.P999Ns < r.P99Ns || r.Samples != uint64(r.Ops) {
-			t.Errorf("latency fields wrong: p50=%d p99=%d p999=%d samples=%d ops=%d",
-				r.P50Ns, r.P99Ns, r.P999Ns, r.Samples, r.Ops)
+		perWorker := r.Ops / int64(r.Threads)
+		wantSamples := int64(r.Threads) * ((perWorker + SampleEvery - 1) / SampleEvery)
+		if r.P50Ns <= 0 || r.P99Ns < r.P50Ns || r.P999Ns < r.P99Ns || r.Samples != uint64(wantSamples) {
+			t.Errorf("latency fields wrong: p50=%d p99=%d p999=%d samples=%d ops=%d, want %d samples (1 in %d)",
+				r.P50Ns, r.P99Ns, r.P999Ns, r.Samples, r.Ops, wantSamples, SampleEvery)
 		}
+		if r.Trials != 1 || r.Lo != 0 || r.Hi != 0 || r.P99HiNs != 0 {
+			t.Errorf("quick record carries a spread: %+v", r)
+		}
+	}
+}
+
+// TestScenarioRunOwnsTheTrials scripts a cell that reports 9, 1, 5, 3, 4, 2
+// Mops on successive builds: a full run builds it six times, discards the
+// first as warm-up, and records the median trial (3) with its own gauges and
+// latency next to the [1, 5] spread; a quick run builds it once.
+func TestScenarioRunOwnsTheTrials(t *testing.T) {
+	script := []int64{9, 1, 5, 3, 4, 2}
+	builds := 0
+	scen := Scenario{Family: "fake", Name: "scripted", Algos: []ScenarioAlgo{{Label: "A", Run: func(_ Config, th int) Result {
+		mops := script[builds]
+		builds++
+		h := NewHistogram()
+		h.Record(100 * mops)
+		return Result{Workers: th, Ops: mops * 1e6, Elapsed: time.Second, Latency: h,
+			Gauges: map[string]float64{"build": float64(builds)}}
+	}}}}
+
+	recs := scen.Run(Config{Threads: []int{2}})
+	if builds != 6 || len(recs) != 1 {
+		t.Fatalf("full run built the cell %d times into %d records, want 6 and 1", builds, len(recs))
+	}
+	r := recs[0]
+	if r.Value != 3 || r.Trials != 5 || r.Lo != 1 || r.Hi != 5 {
+		t.Errorf("value %v over %d trials in [%v, %v], want 3 over 5 in [1, 5]", r.Value, r.Trials, r.Lo, r.Hi)
+	}
+	if r.P99Ns != 300 || r.P99LoNs != 100 || r.P99HiNs != 500 {
+		t.Errorf("p99 %d in [%d, %d], want the median trial's 300 in [100, 500]", r.P99Ns, r.P99LoNs, r.P99HiNs)
+	}
+	if r.Gauges["build"] != 4 || r.Ops != 3e6 || r.Threads != 2 {
+		t.Errorf("record is not the median trial (the 4th build): %+v", r)
+	}
+
+	builds = 0
+	if r := scen.Run(Config{Quick: true, Threads: []int{2}})[0]; builds != 1 || r.Value != 9 || r.Trials != 1 || r.Hi != 0 {
+		t.Errorf("quick run: %d builds, record %+v; want one build and no spread", builds, r)
 	}
 }
 

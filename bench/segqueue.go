@@ -19,7 +19,7 @@ import (
 // segs_recycled + segs_live + segs_retired_pending. The enq_slowpath and
 // deq_abandoned gauges split FAA fast-path operations from tantrum/append
 // traffic, which is the evidence that matters on hardware too small to
-// show a parallel-speedup ratio (see Report.Summary).
+// show a parallel-speedup ratio.
 
 // segWorkerCounts is one worker's successful-operation tally, padded so
 // concurrent workers do not false-share tally lines.
@@ -121,8 +121,7 @@ func runSegCell(cfg Config, th, prefill int, mk func() segDriver,
 		d.enq(i)
 	}
 	counts := make([]segWorkerCounts, th)
-	ops := cfg.ops(200000)
-	res := RunLatency(th, ops/th+1, func(w int) func(int) {
+	res := Run(th, cfg.ops(3000000)/th+1, func(w int) func(int) {
 		return role(w, th, d, &counts[w])
 	})
 	res.Gauges = segHarnessGauges(counts, prefill, d.length(), d.gauges)
@@ -244,9 +243,9 @@ func segSizeScenario() Scenario {
 		row := catalog.Find("queue", label)
 		s.Algos = append(s.Algos, ScenarioAlgo{Label: label, Run: func(cfg Config, segSize int) Result {
 			if label == "LCRQ" {
-				return drive(cfg, row, queue.NewLCRQ[int](queue.WithSegmentSize(segSize)), wl, fullThreads(), Run)
+				return drive(cfg, row, queue.NewLCRQ[int](queue.WithSegmentSize(segSize)), wl, fullThreads())
 			}
-			return runWorkload(cfg, row, catalog.Options{}, wl, fullThreads(), Run)
+			return runWorkload(cfg, row, catalog.Options{}, wl, fullThreads())
 		}})
 	}
 	return s

@@ -48,7 +48,7 @@ func TestValidateReportCatchesEachInvariant(t *testing.T) {
 		"negative":   func(r *Report) { r.Records[2].Gauges["reclaimed"] = -1 },
 		"schema":     func(r *Report) { r.Schema = "cds-bench/v0" },
 		"no records": func(r *Report) { r.Records = nil },
-		"num_cpu":    func(r *Report) { r.Summary = "" },
+		"spread":     func(r *Report) { r.Records[0].Hi = r.Records[0].Value / 2 },
 	} {
 		rep := goldenReport()
 		mutate(&rep)
@@ -68,7 +68,6 @@ func TestReportContents(t *testing.T) {
 		"pool": 2000, "cache": 10000, "queue-segmented": 10000,
 	}
 	rep := Report{Schema: ReportSchema, Meta: NewMeta(true)}
-	rep.Summary = RunSummary(rep.Meta)
 	for _, e := range Experiments() {
 		for _, s := range e.Scenarios() {
 			if ops, ok := families[s.Family]; ok {

@@ -497,6 +497,12 @@ func (c *Cache[K, V]) SetMany(keys []K, vals []V) {
 		c.maybeStartSweeper()
 	}
 	groups, hashes := c.groupByShard(keys)
+	// The weigher is user code: run it before any shard lock is taken, as
+	// Set does, so one that panics strands nothing.
+	weights := make([]int64, len(keys))
+	for i := range keys {
+		weights[i] = c.weigh(keys[i], vals[i])
+	}
 	for si, idxs := range groups {
 		s := &c.shards[si]
 		if s.adm != nil {
@@ -506,7 +512,7 @@ func (c *Cache[K, V]) SetMany(keys []K, vals []V) {
 		}
 		s.mu.Lock()
 		for _, i := range idxs {
-			s.setLocked(keys[i], vals[i], hashes[i], c.weigh(keys[i], vals[i]), expires)
+			s.setLocked(keys[i], vals[i], hashes[i], weights[i], expires)
 		}
 		s.mu.Unlock()
 	}

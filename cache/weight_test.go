@@ -150,6 +150,42 @@ func TestWeigher(t *testing.T) {
 	checkWeightInvariant(t, c)
 }
 
+// TestSetManyPanickingWeigherLeavesShardUnlocked: the weigher is user
+// code and SetMany runs it before taking any shard lock, so a panic in it
+// strands nothing — the shard's lock is free afterwards and a Set on the
+// same shard completes.
+func TestSetManyPanickingWeigherLeavesShardUnlocked(t *testing.T) {
+	c := New[string, int](16, WithShards(1), WithMaxWeight(100),
+		WithWeigher(func(k string, v int) int64 {
+			if v < 0 {
+				panic("weigher: negative value")
+			}
+			return int64(v)
+		}))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("SetMany swallowed the weigher's panic")
+			}
+		}()
+		c.SetMany([]string{"a", "b"}, []int{1, -1})
+	}()
+	if !c.shards[0].mu.TryLock() {
+		t.Fatal("shard still locked after the weigher panicked in SetMany")
+	}
+	c.shards[0].mu.Unlock()
+	c.Set("c", 2)
+	if v, ok := c.Get("c"); !ok || v != 2 {
+		t.Fatalf("Get(c) = %d, %v after the panic, want 2, true", v, ok)
+	}
+	// The batch is all-or-nothing with respect to the weigher: nothing of
+	// it was inserted.
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("SetMany inserted part of a batch whose weigher panicked")
+	}
+	checkWeightInvariant(t, c)
+}
+
 // TestWeigherTypeMismatchPanics pins the constructor's guard: WithWeigher
 // is generic where Option is not, so mismatched type parameters must fail
 // loudly at construction, not silently weigh nothing.

@@ -20,7 +20,8 @@ type Workload struct {
 	// operation index instead.
 	Keys  int
 	Theta float64
-	// Ops is the default total operation count.
+	// Ops is the default total operation count, sized so that the row's
+	// fastest variant runs a few tens of milliseconds on one thread.
 	Ops int
 }
 
@@ -62,43 +63,43 @@ func ownerAndThieves(pushPct int) func(w int) []int {
 func Workloads() []Workload {
 	const k64, m1 = 1 << 16, 1 << 20
 	w := []Workload{
-		{Group: Figure, Family: "counter", Name: "F2: counter increment throughput", Mix: []int{100, 0}, Ops: 500000},
-		{Group: Figure, Family: "stack", Name: "F3: stack ops/sec, 50/50 push-pop, prefill 1k", Mix: []int{50, 50}, Prefill: 1024, Ops: 300000},
-		{Group: Figure, Family: "queue", Name: "F4: queue ops/sec, 50/50 enq-deq, prefill 1k", Mix: []int{50, 50}, Prefill: 1024, Ops: 300000},
-		{Group: Figure, Family: "list", Name: "F5: sorted-list sets, 90% contains / 5% add / 5% remove, keys 0..1023", Mix: []int{5, 5, 90}, Keys: 1024, Prefill: 512, Ops: 100000},
+		{Group: Figure, Family: "counter", Name: "F2: counter increment throughput", Mix: []int{100, 0}, Ops: 2000000},
+		{Group: Figure, Family: "stack", Name: "F3: stack ops/sec, 50/50 push-pop, prefill 1k", Mix: []int{50, 50}, Prefill: 1024, Ops: 1200000},
+		{Group: Figure, Family: "queue", Name: "F4: queue ops/sec, 50/50 enq-deq, prefill 1k", Mix: []int{50, 50}, Prefill: 1024, Ops: 1200000},
+		{Group: Figure, Family: "list", Name: "F5: sorted-list sets, 90% contains / 5% add / 5% remove, keys 0..1023", Mix: []int{5, 5, 90}, Keys: 1024, Prefill: 512, Ops: 150000},
 		{Group: Figure, Family: "skiplist", Name: "F7: skip lists, 90% contains / 5% add / 5% remove, keys 0..65535", Mix: []int{5, 5, 90}, Keys: k64, Prefill: k64 / 2, Ops: 200000},
-		{Group: Figure, Family: "pqueue", Name: "F8: priority queues, 50/50 insert-deleteMin, prefill 4k", Mix: []int{50, 50}, Keys: m1, Prefill: 4096, Ops: 100000},
+		{Group: Figure, Family: "pqueue", Name: "F8: priority queues, 50/50 insert-deleteMin, prefill 4k", Mix: []int{50, 50}, Keys: m1, Prefill: 4096, Ops: 400000},
 
-		{Group: Scenario, Family: "stack", Name: "push-heavy-70/30", Mix: []int{70, 30}, Prefill: 1024, Ops: 200000},
-		{Group: Scenario, Family: "stack", Name: "pop-heavy-30/70", Mix: []int{30, 70}, Prefill: 1024, Ops: 200000},
-		{Group: Scenario, Family: "queue", Name: "enq-heavy-70/30", Mix: []int{70, 30}, Prefill: 1024, Ops: 200000},
-		{Group: Scenario, Family: "queue", Name: "producer-consumer-split", Roles: producerConsumer, Prefill: 1024, Ops: 200000},
-		{Group: Scenario, Family: "cmap", Name: "read90/10-uniform", Mix: []int{5, 5, 90}, Keys: k64, Prefill: k64 / 2, Ops: 100000},
-		{Group: Scenario, Family: "cmap", Name: "read50/50-zipf0.99", Mix: []int{25, 25, 50}, Keys: k64, Theta: 0.99, Prefill: k64 / 2, Ops: 100000},
-		{Group: Scenario, Family: "list", Name: "read90/10-uniform-1k", Mix: []int{5, 5, 90}, Keys: 1024, Prefill: 512, Ops: 60000},
-		{Group: Scenario, Family: "list", Name: "read50/50-uniform-1k", Mix: []int{25, 25, 50}, Keys: 1024, Prefill: 512, Ops: 60000},
-		{Group: Scenario, Family: "skiplist", Name: "read90/10-zipf0.99", Mix: []int{5, 5, 90}, Keys: k64, Theta: 0.99, Prefill: k64 / 2, Ops: 60000},
-		{Group: Scenario, Family: "skiplist", Name: "read50/50-uniform", Mix: []int{25, 25, 50}, Keys: k64, Prefill: k64 / 2, Ops: 60000},
-		{Group: Scenario, Family: "pqueue", Name: "insert-heavy-90/10", Mix: []int{90, 10}, Keys: m1, Prefill: 4096, Ops: 60000},
-		{Group: Scenario, Family: "pqueue", Name: "balanced-50/50", Mix: []int{50, 50}, Keys: m1, Prefill: 4096, Ops: 60000},
-		{Group: Scenario, Family: "deque", Name: "owner-push-heavy-75/25", Roles: ownerAndThieves(75), Ops: 200000},
-		{Group: Scenario, Family: "deque", Name: "owner-balanced-50/50", Roles: ownerAndThieves(50), Ops: 200000},
-		{Group: Scenario, Family: "counter", Name: "inc-only", Mix: []int{100, 0}, Ops: 300000},
-		{Group: Scenario, Family: "counter", Name: "inc90/load10", Mix: []int{90, 10}, Ops: 300000},
+		{Group: Scenario, Family: "stack", Name: "push-heavy-70/30", Mix: []int{70, 30}, Prefill: 1024, Ops: 1200000},
+		{Group: Scenario, Family: "stack", Name: "pop-heavy-30/70", Mix: []int{30, 70}, Prefill: 1024, Ops: 1200000},
+		{Group: Scenario, Family: "queue", Name: "enq-heavy-70/30", Mix: []int{70, 30}, Prefill: 1024, Ops: 1200000},
+		{Group: Scenario, Family: "queue", Name: "producer-consumer-split", Roles: producerConsumer, Prefill: 1024, Ops: 2000000},
+		{Group: Scenario, Family: "cmap", Name: "read90/10-uniform", Mix: []int{5, 5, 90}, Keys: k64, Prefill: k64 / 2, Ops: 600000},
+		{Group: Scenario, Family: "cmap", Name: "read50/50-zipf0.99", Mix: []int{25, 25, 50}, Keys: k64, Theta: 0.99, Prefill: k64 / 2, Ops: 200000},
+		{Group: Scenario, Family: "list", Name: "read90/10-uniform-1k", Mix: []int{5, 5, 90}, Keys: 1024, Prefill: 512, Ops: 120000},
+		{Group: Scenario, Family: "list", Name: "read50/50-uniform-1k", Mix: []int{25, 25, 50}, Keys: 1024, Prefill: 512, Ops: 120000},
+		{Group: Scenario, Family: "skiplist", Name: "read90/10-zipf0.99", Mix: []int{5, 5, 90}, Keys: k64, Theta: 0.99, Prefill: k64 / 2, Ops: 180000},
+		{Group: Scenario, Family: "skiplist", Name: "read50/50-uniform", Mix: []int{25, 25, 50}, Keys: k64, Prefill: k64 / 2, Ops: 150000},
+		{Group: Scenario, Family: "pqueue", Name: "insert-heavy-90/10", Mix: []int{90, 10}, Keys: m1, Prefill: 4096, Ops: 600000},
+		{Group: Scenario, Family: "pqueue", Name: "balanced-50/50", Mix: []int{50, 50}, Keys: m1, Prefill: 4096, Ops: 360000},
+		{Group: Scenario, Family: "deque", Name: "owner-push-heavy-75/25", Roles: ownerAndThieves(75), Ops: 800000},
+		{Group: Scenario, Family: "deque", Name: "owner-balanced-50/50", Roles: ownerAndThieves(50), Ops: 1000000},
+		{Group: Scenario, Family: "counter", Name: "inc-only", Mix: []int{100, 0}, Ops: 2000000},
+		{Group: Scenario, Family: "counter", Name: "inc90/load10", Mix: []int{90, 10}, Ops: 2000000},
 
-		{Group: Contend, Family: "queue", Name: "queue-symmetric-50/50-empty", Mix: []int{50, 50}, Ops: 200000},
-		{Group: Contend, Family: "pqueue", Name: "pqueue-symmetric-50/50", Mix: []int{50, 50}, Keys: m1, Ops: 60000},
-		{Group: Contend, Family: "deque", Name: "deque-symmetric-both-ends", Mix: []int{40, 30, 30}, Ops: 200000},
-		{Group: Contend, Family: "counter", Name: "counter-inc-heavy-90/10", Mix: []int{90, 10}, Ops: 200000},
+		{Group: Contend, Family: "queue", Name: "queue-symmetric-50/50-empty", Mix: []int{50, 50}, Ops: 800000},
+		{Group: Contend, Family: "pqueue", Name: "pqueue-symmetric-50/50", Mix: []int{50, 50}, Keys: m1, Ops: 600000},
+		{Group: Contend, Family: "deque", Name: "deque-symmetric-both-ends", Mix: []int{40, 30, 30}, Ops: 800000},
+		{Group: Contend, Family: "counter", Name: "counter-inc-heavy-90/10", Mix: []int{90, 10}, Ops: 2000000},
 
-		{Group: ReclaimFigure, Family: "stack", Name: "F12: stack churn 50/50", Mix: []int{50, 50}, Prefill: 256, Ops: 100000},
-		{Group: ReclaimFigure, Family: "queue", Name: "F12: queue churn 50/50", Mix: []int{50, 50}, Prefill: 256, Ops: 100000},
+		{Group: ReclaimFigure, Family: "stack", Name: "F12: stack churn 50/50", Mix: []int{50, 50}, Prefill: 256, Ops: 800000},
+		{Group: ReclaimFigure, Family: "queue", Name: "F12: queue churn 50/50", Mix: []int{50, 50}, Prefill: 256, Ops: 800000},
 		{Group: ReclaimFigure, Family: "list", Name: "F12: list delete-heavy 40/40/20", Mix: []int{40, 40, 20}, Keys: 512, Prefill: 256, Ops: 100000},
-		{Group: ReclaimFigure, Family: "cmap", Name: "F12: map delete-heavy 40/40/20", Mix: []int{40, 40, 20}, Keys: 4096, Prefill: 2048, Ops: 100000},
+		{Group: ReclaimFigure, Family: "cmap", Name: "F12: map delete-heavy 40/40/20", Mix: []int{40, 40, 20}, Keys: 4096, Prefill: 2048, Ops: 300000},
 		{Group: ReclaimFigure, Family: "skiplist", Name: "F12: skiplist delete-heavy 40/40/20", Mix: []int{40, 40, 20}, Keys: 4096, Prefill: 2048, Ops: 100000},
 
-		{Group: ReclaimScenario, Family: "list", Name: "list-delete-heavy-40/40/20", Mix: []int{40, 40, 20}, Keys: 256, Prefill: 128, Ops: 60000},
-		{Group: ReclaimScenario, Family: "cmap", Name: "map-delete-heavy-40/40/20", Mix: []int{40, 40, 20}, Keys: 256, Prefill: 128, Ops: 60000},
+		{Group: ReclaimScenario, Family: "list", Name: "list-delete-heavy-40/40/20", Mix: []int{40, 40, 20}, Keys: 256, Prefill: 128, Ops: 120000},
+		{Group: ReclaimScenario, Family: "cmap", Name: "map-delete-heavy-40/40/20", Mix: []int{40, 40, 20}, Keys: 256, Prefill: 128, Ops: 300000},
 	}
 	for _, dist := range []struct {
 		name  string
@@ -117,5 +118,5 @@ func Workloads() []Workload {
 func MapReads(readPct int, theta float64, name string) Workload {
 	store := (100 - readPct) / 2
 	return Workload{Group: Figure, Family: "cmap", Name: name,
-		Mix: []int{store, 100 - readPct - store, readPct}, Keys: 1 << 16, Theta: theta, Prefill: 1 << 15, Ops: 200000}
+		Mix: []int{store, 100 - readPct - store, readPct}, Keys: 1 << 16, Theta: theta, Prefill: 1 << 15, Ops: 800000}
 }

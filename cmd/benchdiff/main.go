@@ -1,16 +1,21 @@
-// Command benchdiff compares two cds-bench/v1 reports cell by cell.
+// Command benchdiff compares two cds-bench/v2 reports cell by cell.
 //
-// It joins records by (experiment family, scenario, algo, threads), prints
-// per-cell throughput and p99 deltas, and exits nonzero when any cell
-// regressed beyond the noise threshold — so CI can gate on it:
+// It joins records by (experiment family, scenario, algo, threads) and
+// prints per-cell throughput and p99 deltas. A cell regressed when both
+// reports carry trial spreads for it and the intervals are disjoint — the
+// new [lo, hi] wholly below the old one, or the new p99 spread wholly above
+// — and any such cell makes the exit status 1, so CI can gate on it:
 //
-//	go run ./cmd/benchdiff -noise 0.10 baseline.json current.json
+//	go run ./cmd/benchdiff BENCH.json current.json
 //
-// Quick-mode reports are noisy; widen -noise rather than trusting
-// single-run deltas on a loaded machine.
+// Cells without spreads (quick, single-trial reports) are "unresolved", and
+// reports whose meta differs in num_cpu, gomaxprocs or quick are "not
+// comparable": the deltas are printed, nothing is flagged, the exit status
+// is 0. A report holding two records for one cell is rejected (status 2).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,10 +31,9 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	noise := fs.Float64("noise", 0.10, "fractional noise threshold; deltas beyond it are regressions")
-	verbose := fs.Bool("v", false, "print cells that stayed within the noise threshold too")
+	verbose := fs.Bool("v", false, "print cells with overlapping or missing spreads too")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: benchdiff [-noise 0.10] [-v] old.json new.json\n")
+		fmt.Fprintf(stderr, "usage: benchdiff [-v] old.json new.json\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -39,29 +43,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if *noise < 0 {
-		fmt.Fprintln(stderr, "benchdiff: -noise must be >= 0")
-		return 2
-	}
 	oldR, err := bench.LoadReport(fs.Arg(0))
+	newR, errNew := bench.LoadReport(fs.Arg(1))
+	var d bench.Diff
+	if err = errors.Join(err, errNew); err == nil {
+		d, err = bench.DiffReports(oldR, newR)
+	}
+	if err == nil {
+		err = d.Render(stdout, *verbose)
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return 2
 	}
-	newR, err := bench.LoadReport(fs.Arg(1))
-	if err != nil {
-		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
-		return 2
+	if d.NotComparable != "" {
+		fmt.Fprintf(stdout, "not comparable: %s (%d cells joined, none judged)\n", d.NotComparable, len(d.Cells))
+		return 0
 	}
-	d := bench.DiffReports(oldR, newR, *noise)
-	if err := d.Render(stdout, *verbose); err != nil {
-		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
-		return 2
-	}
-	if regs := d.Regressions(); len(regs) > 0 {
-		fmt.Fprintf(stdout, "%d cell(s) regressed beyond %.0f%% noise\n", len(regs), 100**noise)
+	if d.Regressed > 0 {
+		fmt.Fprintf(stdout, "%d of %d cell(s) regressed: trial spreads disjoint\n", d.Regressed, len(d.Cells))
 		return 1
 	}
-	fmt.Fprintf(stdout, "no regressions beyond %.0f%% noise (%d cells compared)\n", 100**noise, len(d.Cells))
+	fmt.Fprintf(stdout, "no regressions (%d cells compared, %d unresolved for want of a trial spread)\n", len(d.Cells), d.Unresolved)
 	return 0
 }

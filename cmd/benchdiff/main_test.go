@@ -24,9 +24,12 @@ func writeReport(t *testing.T, dir, name string, rep bench.Report) string {
 	return path
 }
 
+// report is a one-cell full (five-trial) report on a 2-CPU box whose value
+// spread is value±0.5.
 func report(value float64) bench.Report {
 	return bench.Report{
 		Schema: bench.ReportSchema,
+		Meta:   bench.Meta{NumCPU: 2, GOMAXPROCS: 2},
 		Records: []bench.Record{{
 			Family:   "contend",
 			Scenario: "queue-pingpong",
@@ -34,56 +37,56 @@ func report(value float64) bench.Report {
 			Threads:  4,
 			Value:    value,
 			Unit:     bench.UnitMops,
+			Trials:   5,
+			Lo:       value - 0.5,
+			Hi:       value + 0.5,
 		}},
 	}
 }
 
-func TestRunFlagsInjectedRegression(t *testing.T) {
+// diff runs benchdiff on two reports and returns its exit code and stdout.
+func diff(t *testing.T, oldR, newR bench.Report, flags ...string) (int, string) {
+	t.Helper()
 	dir := t.TempDir()
-	// New report is 20% slower than old: beyond the default 10% noise.
-	oldPath := writeReport(t, dir, "old.json", report(10.0))
-	newPath := writeReport(t, dir, "new.json", report(8.0))
+	args := append(flags, writeReport(t, dir, "old.json", oldR), writeReport(t, dir, "new.json", newR))
 	var out, errb bytes.Buffer
-	if code := run([]string{oldPath, newPath}, &out, &errb); code != 1 {
-		t.Fatalf("exit code = %d, want 1 for injected regression\nstdout:\n%s\nstderr:\n%s",
-			code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION(value)") {
-		t.Fatalf("output does not flag the regression:\n%s", out.String())
+	code := run(args, &out, &errb)
+	return code, out.String() + errb.String()
+}
+
+func TestRunFlagsDisjointSpreads(t *testing.T) {
+	code, out := diff(t, report(10), report(8)) // [7.5, 8.5] wholly below [9.5, 10.5]
+	if code != 1 || !strings.Contains(out, "REGRESSION(value)") {
+		t.Fatalf("exit code = %d, want 1 with the cell flagged:\n%s", code, out)
 	}
 }
 
-func TestRunCleanWhenWithinNoise(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeReport(t, dir, "old.json", report(10.0))
-	newPath := writeReport(t, dir, "new.json", report(9.5)) // -5% < 10% noise
-	var out, errb bytes.Buffer
-	if code := run([]string{oldPath, newPath}, &out, &errb); code != 0 {
-		t.Fatalf("exit code = %d, want 0 for within-noise delta\nstdout:\n%s\nstderr:\n%s",
-			code, out.String(), errb.String())
+func TestRunCleanWhenSpreadsOverlap(t *testing.T) {
+	code, out := diff(t, report(10), report(9.5))
+	if code != 0 || !strings.Contains(out, "no regressions (1 cells compared, 0 unresolved") {
+		t.Fatalf("exit code = %d, want 0 and a clean verdict:\n%s", code, out)
 	}
-	if !strings.Contains(out.String(), "no regressions") {
-		t.Fatalf("output missing clean verdict:\n%s", out.String())
+	if code, out := diff(t, report(10), report(10)); code != 0 {
+		t.Fatalf("self-diff exit code = %d, want 0:\n%s", code, out)
 	}
 }
 
-func TestRunWiderNoiseToleratesDrop(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeReport(t, dir, "old.json", report(10.0))
-	newPath := writeReport(t, dir, "new.json", report(8.0)) // -20%
-	var out, errb bytes.Buffer
-	if code := run([]string{"-noise", "0.25", oldPath, newPath}, &out, &errb); code != 0 {
-		t.Fatalf("exit code = %d, want 0 with -noise 0.25\nstdout:\n%s", code, out.String())
+func TestRunUnresolvedWithoutSpread(t *testing.T) {
+	quick := report(5)
+	quick.Records[0].Trials, quick.Records[0].Lo, quick.Records[0].Hi = 1, 0, 0
+	code, out := diff(t, report(10), quick, "-v")
+	if code != 0 || !strings.Contains(out, "unresolved") || strings.Contains(out, "REGRESSION") {
+		t.Fatalf("exit code = %d, want 0 with the cell unresolved:\n%s", code, out)
 	}
 }
 
-func TestRunSelfDiffIsClean(t *testing.T) {
-	dir := t.TempDir()
-	path := writeReport(t, dir, "same.json", report(10.0))
-	var out, errb bytes.Buffer
-	if code := run([]string{path, path}, &out, &errb); code != 0 {
-		t.Fatalf("self-diff exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s",
-			code, out.String(), errb.String())
+func TestRunNotComparable(t *testing.T) {
+	other := report(5)
+	other.Meta.Quick = true
+	code, out := diff(t, report(10), other)
+	if code != 0 || !strings.Contains(out, "not comparable: old has num_cpu=2 gomaxprocs=2 quick=false, new has num_cpu=2 gomaxprocs=2 quick=true") ||
+		!strings.Contains(out, "-50.0%") || strings.Contains(out, "REGRESSION") {
+		t.Fatalf("exit code = %d, want 0, the delta printed and nothing flagged:\n%s", code, out)
 	}
 }
 
@@ -94,5 +97,13 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"missing-a.json", "missing-b.json"}, &out, &errb); code != 2 {
 		t.Fatalf("missing-file exit code = %d, want 2", code)
+	}
+	if code := run([]string{"-noise", "0.1", "a.json", "b.json"}, &out, &errb); code != 2 {
+		t.Fatalf("-noise is gone: exit code = %d, want 2", code)
+	}
+	twice := report(10)
+	twice.Records = append(twice.Records, twice.Records[0])
+	if code, out := diff(t, twice, report(10)); code != 2 || !strings.Contains(out, "two records for cell") {
+		t.Fatalf("duplicate cell: exit code = %d, want 2:\n%s", code, out)
 	}
 }

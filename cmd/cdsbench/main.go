@@ -1,26 +1,24 @@
-// Command cdsbench regenerates the experiment figures and tables indexed
-// by bench.Experiments — throughput-scalability series for every structure
-// family (F1–F12, T1–T3) plus the mixed-workload scenario matrix with latency
-// percentiles (S1–S18, including the S14 reclamation, S15 blocking, S16
-// executor, S17 cache, and S18 segmented-queue families whose records
-// carry structure gauges) — as aligned text tables or as a machine-readable
-// JSON report.
+// Command cdsbench runs the experiments indexed by bench.Experiments — the
+// figures and tables (F1–F12, T1–T3), the scenario matrix (S1–S18) and, on
+// request, the ablations (A1–A5) — and prints aligned text tables or
+// serializes a machine-readable JSON report.
 //
 // Usage:
 //
-//	cdsbench                       # run the full suite, text tables
-//	cdsbench -experiment F4        # one experiment
-//	cdsbench -quick                # smoke-sized workloads
-//	cdsbench -threads 1,2,4,8      # custom sweep
-//	cdsbench -list                 # list experiment IDs
-//	cdsbench -format json -o f.json# serialize a bench.Report (see package
-//	                               # bench docs for the schema)
+//	cdsbench                        # the full suite, text tables
+//	cdsbench -experiment F4         # one experiment
+//	cdsbench -quick                 # smoke-sized workloads, one trial
+//	cdsbench -threads 1,2,4,8       # custom sweep
+//	cdsbench -list                  # list experiment IDs
+//	cdsbench -format json -o f.json # serialize a bench.Report (schema in
+//	                                # the package bench docs)
 //
-// The JSON report embeds the Go version, GOMAXPROCS, and the git revision,
-// so checked-in BENCH_*.json files are diffable across commits: the perf
-// trajectory of the repository is the series of these files. Every JSON
-// report is checked with bench.ValidateReport after it is written; a gauge
-// invariant that does not hold makes the run exit non-zero.
+// Without -quick every cell is built and measured six times (a discarded
+// warm-up and five trials) and reported as its median with the spread;
+// `cdsbench -format json -o BENCH.json` is how the checked-in record at the
+// repo root is recaptured. Every JSON report is checked with
+// bench.ValidateReport after it is written; a gauge invariant that does not
+// hold makes the run exit non-zero.
 package main
 
 import (
@@ -48,7 +46,7 @@ func run(args []string) error {
 		ablations  = fs.Bool("ablations", false, "also run the ablation sweeps (A1..A5)")
 		quick      = fs.Bool("quick", false, "smoke-sized workloads")
 		threads    = fs.String("threads", "", "comma-separated thread sweep (default: 1,2,4,...,GOMAXPROCS)")
-		ops        = fs.Int("ops", 0, "per-worker operations (0 = per-experiment default)")
+		ops        = fs.Int("ops", 0, "operation budget of a cell, which most cells split among their workers (0 = per-experiment default)")
 		list       = fs.Bool("list", false, "list experiments and exit")
 		format     = fs.String("format", "text", "output format: text (aligned tables) or json (bench.Report)")
 		out        = fs.String("o", "", "output file (default stdout)")
@@ -58,10 +56,7 @@ func run(args []string) error {
 	}
 
 	if *list {
-		for _, e := range bench.Experiments() {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
-		}
-		for _, e := range bench.Ablations() {
+		for _, e := range append(bench.Experiments(), bench.Ablations()...) {
 			fmt.Printf("%-4s %s\n", e.ID, e.Title)
 		}
 		return nil
@@ -110,9 +105,6 @@ func run(args []string) error {
 				rep.Meta.GitRevision = rev
 			}
 		}
-		// Echo the hardware framing to stderr so a redirected run still
-		// shows the reader what the numbers can and cannot claim.
-		fmt.Fprintln(os.Stderr, "cdsbench:", rep.Summary)
 		if err := rep.WriteJSON(w); err != nil {
 			return err
 		}
