@@ -31,7 +31,7 @@ const (
 	Recycle
 	// RecycleEBR: WithRecycling under EBR only (the split-ordered map).
 	RecycleEBR
-	// Backend: WithBackend, over contend.Backends.
+	// Backend: contend.WithBackend, over contend.Backends.
 	Backend
 )
 

@@ -5,6 +5,7 @@ import (
 
 	cds "github.com/cds-suite/cds"
 	"github.com/cds-suite/cds/cmap"
+	"github.com/cds-suite/cds/contend"
 	"github.com/cds-suite/cds/counter"
 	"github.com/cds-suite/cds/deque"
 	"github.com/cds-suite/cds/fc"
@@ -42,7 +43,7 @@ var Stacks = []Variant[cds.Stack[int]]{
 				reclaimOpts(o, stack.WithReclaim, stack.WithRecycling)...)
 		}},
 	{Label: "FC", Family: "stack", Progress: Blocking, Accepts: Backend, In: Figure | Scenario,
-		New: func(o Options) cds.Stack[int] { return fc.NewStack[int](fc.WithBackend(o.Backend)) }},
+		New: func(o Options) cds.Stack[int] { return fc.NewStack[int](contend.WithBackend(o.Backend)) }},
 }
 
 func queueOpts(o Options) []queue.Option {
@@ -70,7 +71,7 @@ var Queues = []Variant[cds.Queue[int]]{
 			return queue.NewElimination[int](tight(o, 2, 0), tight(o, 16, 0), queueOpts(o)...)
 		}},
 	{Label: "FC", Family: "queue", Progress: Blocking, Accepts: Backend, In: Figure | FigureBackends | Scenario | Contend,
-		New: func(o Options) cds.Queue[int] { return fc.NewQueue[int](fc.WithBackend(o.Backend)) }},
+		New: func(o Options) cds.Queue[int] { return fc.NewQueue[int](contend.WithBackend(o.Backend)) }},
 	{Label: "LCRQ", Family: "queue", Progress: LockFree, Accepts: Reclaim | Recycle, In: Scenario,
 		New: func(o Options) cds.Queue[int] { return queue.NewLCRQ[int](queueOpts(o)...) }},
 	// The plain-store dequeue cursor is only sound single-consumer: the
@@ -168,7 +169,7 @@ var PriorityQueues = []Variant[cds.PriorityQueue[int]]{
 		New: func(Options) cds.PriorityQueue[int] { return pqueue.NewSkipList[int]() }},
 	{Label: "FCHeap", Family: "pqueue", Progress: Blocking, Accepts: Backend, In: Figure | FigureBackends | Scenario | Contend,
 		New: func(o Options) cds.PriorityQueue[int] {
-			return pqueue.NewFC[int](intLess, pqueue.WithBackend(o.Backend))
+			return pqueue.NewFC[int](intLess, contend.WithBackend(o.Backend))
 		}},
 }
 
@@ -182,7 +183,7 @@ var Deques = []Variant[cds.Deque[int]]{
 	{Label: "MutexDeque", Family: "deque", Progress: Blocking, In: Figure | Scenario | Contend,
 		New: func(Options) cds.Deque[int] { return deque.NewMutex[int]() }},
 	{Label: "FCDeque", Family: "deque", Progress: Blocking, Accepts: Backend, In: Scenario | Contend,
-		New: func(o Options) cds.Deque[int] { return deque.NewFC[int](deque.WithBackend(o.Backend)) }},
+		New: func(o Options) cds.Deque[int] { return deque.NewFC[int](contend.WithBackend(o.Backend)) }},
 }
 
 // Per-worker counter views: updates go through the worker's private handle,
@@ -224,5 +225,5 @@ var Counters = []Variant[cds.Counter]{
 			return treeWorker{t.Handle(w), t}
 		}},
 	{Label: "Combining", Family: "counter", Progress: Blocking, Accepts: Backend, In: Contend,
-		New: func(o Options) cds.Counter { return counter.NewCombining(counter.WithBackend(o.Backend)) }},
+		New: func(o Options) cds.Counter { return counter.NewCombining(contend.WithBackend(o.Backend)) }},
 }

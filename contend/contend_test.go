@@ -354,7 +354,7 @@ func TestCombinerAppliesAllOps(t *testing.T) {
 	type seq struct{ n int }
 	for _, be := range combineBackends {
 		t.Run(be.String(), func(t *testing.T) {
-			c := NewDelegator(be, &seq{})
+			c := NewDelegator(&seq{}, WithBackend(be))
 			const workers, perW = 8, 500
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -398,7 +398,7 @@ func TestCombinerPerThreadOrder(t *testing.T) {
 	type seq struct{ log []int }
 	for _, be := range combineBackends {
 		t.Run(be.String(), func(t *testing.T) {
-			c := NewDelegator(be, &seq{})
+			c := NewDelegator(&seq{}, WithBackend(be))
 			const workers, perW = 4, 200
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -436,7 +436,7 @@ func TestDelegatorSingleThreadSequence(t *testing.T) {
 	type seq struct{ vals []int }
 	for _, be := range combineBackends {
 		t.Run(be.String(), func(t *testing.T) {
-			c := NewDelegator(be, &seq{})
+			c := NewDelegator(&seq{}, WithBackend(be))
 			for i := 0; i < 100; i++ {
 				c.Do(func(s *seq) { s.vals = append(s.vals, i) })
 			}
@@ -485,7 +485,7 @@ func TestCombinerNoLostWakeupUnderBackoff(t *testing.T) {
 	for _, be := range combineBackends {
 		t.Run(be.String(), func(t *testing.T) {
 			type seq struct{ n int }
-			c := NewDelegator(be, &seq{})
+			c := NewDelegator(&seq{}, WithBackend(be))
 			const workers, perW = 8, 40
 			done := make(chan struct{})
 			go func() {
@@ -534,7 +534,7 @@ func TestDelegatorHandoffGaugeSane(t *testing.T) {
 	type seq struct{ n int }
 	for _, be := range combineBackends {
 		t.Run(be.String(), func(t *testing.T) {
-			c := NewDelegator(be, &seq{})
+			c := NewDelegator(&seq{}, WithBackend(be))
 			const workers, perW = 8, 300
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {

@@ -31,12 +31,17 @@ type Delegator[S any] interface {
 	Stats() DelegatorStats
 }
 
-// Backend selects a combining backend by name, for consumers that
-// construct their sequential structure internally (fc.Queue, pqueue.FC,
-// deque.FC, counter.Combining) and expose the choice through a
-// WithBackend option. The zero value is flat combining, which keeps the
-// pre-backend behavior the default.
+// Backend selects a combining backend by name. Consumers that build
+// their sequential structure internally (fc.Queue, fc.Stack, pqueue.FC,
+// deque.FC, counter.Combining) take Options and pass them to
+// NewDelegator. The zero value is flat combining, the default.
 type Backend int
+
+// Option configures NewDelegator.
+type Option func(*Backend)
+
+// WithBackend selects the backend NewDelegator builds.
+func WithBackend(b Backend) Option { return func(p *Backend) { *p = b } }
 
 const (
 	// BackendFlatCombining selects Combiner (flat combining), the default.
@@ -64,9 +69,14 @@ func Backends() []Backend {
 	return []Backend{BackendFlatCombining, BackendCCSynch, BackendDSMSynch}
 }
 
-// NewDelegator constructs the chosen backend around seq. After
-// construction the structure must only be accessed through Do.
-func NewDelegator[S any](b Backend, seq S) Delegator[S] {
+// NewDelegator constructs the chosen backend (flat combining unless an
+// option says otherwise) around seq. After construction the structure
+// must only be accessed through Do.
+func NewDelegator[S any](seq S, opts ...Option) Delegator[S] {
+	var b Backend
+	for _, o := range opts {
+		o(&b)
+	}
 	switch b {
 	case BackendCCSynch:
 		return NewCCSynch(seq)

@@ -56,16 +56,17 @@
 // the FIFO request list keeps per-op cost constant. DSM-Synch is
 // preferred over CC-Synch on multi-socket machines where spinning on
 // another thread's node means cross-socket traffic. The consumers
-// (package fc, pqueue.FC, deque.FC, counter.Combining) take a
-// WithBackend option so the choice is per-instance; BackendFlatCombining
-// is the zero value and the default everywhere.
+// (package fc, pqueue.FC, deque.FC, counter.Combining) pass their
+// Options through to NewDelegator, so WithBackend makes the choice per
+// instance; BackendFlatCombining is the zero value and the default.
 //
 // Every structure family in this module draws these mechanisms from here
 // rather than keeping private copies: the spin locks and lock-free
 // stack/queue retry loops use Backoff, the elimination stack and the
 // elimination-backed Michael–Scott queue use the exchanger/handoff arrays,
-// the flat-combining containers (package fc, pqueue.FC, deque.FC) and
-// the combining-tree counter build on the combining cores, and the
+// the combining containers (package fc, pqueue.FC, deque.FC,
+// counter.Combining) and the combining-tree counter build on the
+// combining cores, and the
 // synchronous queue (dual.Sync) uses a HandoffArray as its rendezvous
 // fast path — near-simultaneous Put/Take pairs cancel there before either
 // side pays for parking a waiter.

@@ -52,17 +52,22 @@ func testConcurrentSum(t *testing.T, c cds.Counter, exact func() int64) {
 }
 
 func TestCountersSequential(t *testing.T) {
-	tests := []struct {
+	type counterCase struct {
 		name string
 		c    cds.Counter
-	}{
+	}
+	tests := []counterCase{
 		{name: "Locked", c: new(Locked)},
 		{name: "Atomic", c: new(Atomic)},
 		{name: "Sharded", c: NewSharded(8)},
 		{name: "CombiningTree", c: NewCombiningTree(8)},
-		{name: "Combining", c: NewCombining()},
-		{name: "Combining/CC-Synch", c: NewCombining(WithBackend(contend.BackendCCSynch))},
-		{name: "Combining/DSM-Synch", c: NewCombining(WithBackend(contend.BackendDSMSynch))},
+	}
+	for _, be := range contend.Backends() {
+		name := "Combining"
+		if be != contend.BackendFlatCombining {
+			name += "/" + be.String()
+		}
+		tests = append(tests, counterCase{name: name, c: NewCombining(contend.WithBackend(be))})
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -104,7 +109,7 @@ func TestCountersConcurrent(t *testing.T) {
 	})
 	for _, be := range contend.Backends() {
 		t.Run("Combining/"+be.String(), func(t *testing.T) {
-			c := NewCombining(WithBackend(be))
+			c := NewCombining(contend.WithBackend(be))
 			testConcurrentSum(t, c, c.Load)
 			if st := c.Stats(); st.Ops == 0 || st.Batches == 0 {
 				t.Fatalf("backend gauges empty after traffic: %+v", st)
@@ -118,7 +123,7 @@ func TestCombiningFetchAddDistinct(t *testing.T) {
 	// observes the value immediately before its own position in a batch.
 	for _, be := range contend.Backends() {
 		t.Run(be.String(), func(t *testing.T) {
-			c := NewCombining(WithBackend(be))
+			c := NewCombining(contend.WithBackend(be))
 			const workers, perW = 8, 200
 			var (
 				wg   sync.WaitGroup

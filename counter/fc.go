@@ -9,9 +9,9 @@ var _ cds.Counter = (*Combining)(nil)
 
 // Combining is a delegation-based counter: a plain int64 made concurrent
 // through a contend.Delegator backend (flat combining by default; CC-Synch
-// or DSM-Synch via WithBackend). Where CombiningTree combines requests
-// pairwise on the way up a static tree — requiring threads to hold
-// per-slot handles — Combining delegates them to a single temporary
+// or DSM-Synch via contend.WithBackend). Where CombiningTree combines
+// requests pairwise on the way up a static tree — requiring threads to
+// hold per-slot handles — Combining delegates them to a single temporary
 // combiner, needs no handle discipline, and supports the same
 // fetch-and-add shape through closure captures.
 //
@@ -28,26 +28,9 @@ type Combining struct {
 	d contend.Delegator[*int64]
 }
 
-// Option configures the combining counter at construction.
-type Option func(*fcConfig)
-
-type fcConfig struct {
-	backend contend.Backend
-}
-
-// WithBackend selects the combining backend (flat combining default,
-// CC-Synch, DSM-Synch); see contend.Backend.
-func WithBackend(b contend.Backend) Option {
-	return func(c *fcConfig) { c.backend = b }
-}
-
 // NewCombining returns a combining counter at zero.
-func NewCombining(opts ...Option) *Combining {
-	var cfg fcConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return &Combining{d: contend.NewDelegator(cfg.backend, new(int64))}
+func NewCombining(opts ...contend.Option) *Combining {
+	return &Combining{d: contend.NewDelegator(new(int64), opts...)}
 }
 
 // Inc adds 1.

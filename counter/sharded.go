@@ -68,8 +68,14 @@ func (c *Sharded) Add(delta int64) {
 }
 
 // Load returns the sum of all shards. The result is exact when no updates
-// are concurrent; under concurrency it is some valid value between the
-// counts at the start and end of the scan.
+// are concurrent. Under concurrency the scan reads each shard at a
+// different moment, so it includes some of the concurrent updates and
+// misses others: the result lies between the start count plus every
+// concurrent negative delta and the start count plus every concurrent
+// positive one. Only while all concurrent deltas share one sign is that
+// also between the counts at the start and end of the scan; a +1 landing
+// on a shard already read and a -1 on one not yet read makes a scan of a
+// count that stays at 0 return -1.
 func (c *Sharded) Load() int64 {
 	var sum int64
 	for i := range c.shards {

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	cds "github.com/cds-suite/cds"
+	"github.com/cds-suite/cds/internal/ring"
 )
 
 // Compile-time interface compliance checks.
@@ -12,12 +13,13 @@ var (
 	_ cds.Deque[int] = (*ChaseLev[int])(nil)
 )
 
-// Mutex is a coarse-locked deque baseline.
+// Mutex is the coarse-locked deque baseline: a ring.Ring guarded by one
+// sync.Mutex, its bottom at the ring's back and its top at the front.
 //
 // The zero value is an empty deque. Progress: blocking.
 type Mutex[T any] struct {
-	mu    sync.Mutex
-	items []T
+	mu sync.Mutex
+	r  ring.Ring[T]
 }
 
 // NewMutex returns an empty coarse-locked deque.
@@ -28,7 +30,7 @@ func NewMutex[T any]() *Mutex[T] {
 // PushBottom adds v at the bottom (owner end).
 func (d *Mutex[T]) PushBottom(v T) {
 	d.mu.Lock()
-	d.items = append(d.items, v)
+	d.r.PushBack(v)
 	d.mu.Unlock()
 }
 
@@ -36,33 +38,19 @@ func (d *Mutex[T]) PushBottom(v T) {
 func (d *Mutex[T]) TryPopBottom() (v T, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return v, false
-	}
-	v = d.items[len(d.items)-1]
-	var zero T
-	d.items[len(d.items)-1] = zero
-	d.items = d.items[:len(d.items)-1]
-	return v, true
+	return d.r.PopBack()
 }
 
 // TryPopTop removes from the top (steal end).
 func (d *Mutex[T]) TryPopTop() (v T, ok bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.items) == 0 {
-		return v, false
-	}
-	v = d.items[0]
-	var zero T
-	d.items[0] = zero // release reference for the GC
-	d.items = d.items[1:]
-	return v, true
+	return d.r.PopFront()
 }
 
 // Len reports the number of elements.
 func (d *Mutex[T]) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.items)
+	return d.r.Len()
 }

@@ -12,13 +12,18 @@ import (
 )
 
 func implementations() map[string]func() cds.Deque[int] {
-	return map[string]func() cds.Deque[int]{
-		"Mutex":        func() cds.Deque[int] { return NewMutex[int]() },
-		"ChaseLev":     func() cds.Deque[int] { return NewChaseLev[int](8) },
-		"FC":           func() cds.Deque[int] { return NewFC[int]() },
-		"FC/CC-Synch":  func() cds.Deque[int] { return NewFC[int](WithBackend(contend.BackendCCSynch)) },
-		"FC/DSM-Synch": func() cds.Deque[int] { return NewFC[int](WithBackend(contend.BackendDSMSynch)) },
+	impls := map[string]func() cds.Deque[int]{
+		"Mutex":    func() cds.Deque[int] { return NewMutex[int]() },
+		"ChaseLev": func() cds.Deque[int] { return NewChaseLev[int](8) },
 	}
+	for _, be := range contend.Backends() {
+		name := "FC"
+		if be != contend.BackendFlatCombining {
+			name += "/" + be.String()
+		}
+		impls[name] = func() cds.Deque[int] { return NewFC[int](contend.WithBackend(be)) }
+	}
+	return impls
 }
 
 func TestSequentialOwnerLIFO(t *testing.T) {

@@ -12,10 +12,11 @@
 // with the combiner.
 //
 // The combining machinery itself (publication list, combiner role,
-// completion records) lives in package contend; this package contributes
-// the sequential queue/stack cores and the cds-interface adapters. The
-// flat-combining priority queue and deque live with their families, in
-// pqueue.FC and deque.FC.
+// completion records) lives in package contend, and the sequential core
+// is the ring buffer behind queue.Mutex and stack.Mutex; this package
+// contributes only the cds-interface adapters. The flat-combining
+// priority queue and deque live with their families, in pqueue.FC and
+// deque.FC.
 //
 // Progress guarantees: blocking in the combining sense — one thread holds
 // the combiner role while the rest spin on their publication records; the

@@ -36,7 +36,7 @@ func TestCombinerResultsVisible(t *testing.T) {
 func TestFCQueueFIFO(t *testing.T) {
 	for _, be := range contend.Backends() {
 		t.Run(be.String(), func(t *testing.T) {
-			q := NewQueue[int](WithBackend(be))
+			q := NewQueue[int](contend.WithBackend(be))
 			if _, ok := q.TryDequeue(); ok {
 				t.Fatal("empty queue dequeued")
 			}
@@ -62,7 +62,7 @@ func TestFCQueueFIFO(t *testing.T) {
 func TestFCStackLIFO(t *testing.T) {
 	for _, be := range contend.Backends() {
 		t.Run(be.String(), func(t *testing.T) {
-			s := NewStack[string](WithBackend(be))
+			s := NewStack[string](contend.WithBackend(be))
 			for _, v := range []string{"a", "b", "c"} {
 				s.Push(v)
 			}
@@ -88,7 +88,7 @@ func TestFCQueueConcurrentConservation(t *testing.T) {
 }
 
 func testFCQueueConservation(t *testing.T, be contend.Backend) {
-	q := NewQueue[int](WithBackend(be))
+	q := NewQueue[int](contend.WithBackend(be))
 	producers := runtime.GOMAXPROCS(0)
 	const perProducer = 10000
 	total := producers * perProducer

@@ -17,21 +17,19 @@ var (
 //
 // Progress: blocking.
 type Heap[T any] struct {
-	mu    sync.Mutex
-	less  func(a, b T) bool
-	items []T
+	mu sync.Mutex
+	h  minHeap[T]
 }
 
 // NewHeap returns an empty heap ordered by less.
 func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
-	return &Heap[T]{less: less}
+	return &Heap[T]{h: minHeap[T]{less: less}}
 }
 
 // Insert adds v.
 func (h *Heap[T]) Insert(v T) {
 	h.mu.Lock()
-	h.items = append(h.items, v)
-	siftUp(h.items, len(h.items)-1, h.less)
+	h.h.insert(v)
 	h.mu.Unlock()
 }
 
@@ -40,6 +38,30 @@ func (h *Heap[T]) Insert(v T) {
 func (h *Heap[T]) TryDeleteMin() (v T, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.h.deleteMin()
+}
+
+// Len reports the number of elements.
+func (h *Heap[T]) Len() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.h.items)
+}
+
+// minHeap is the sequential binary min-heap behind both Heap (under its
+// mutex) and FC (under a contend.Delegator); it has no exclusion of its
+// own.
+type minHeap[T any] struct {
+	less  func(a, b T) bool
+	items []T
+}
+
+func (h *minHeap[T]) insert(v T) {
+	h.items = append(h.items, v)
+	h.siftUp(len(h.items) - 1)
+}
+
+func (h *minHeap[T]) deleteMin() (v T, ok bool) {
 	n := len(h.items)
 	if n == 0 {
 		return v, false
@@ -47,25 +69,15 @@ func (h *Heap[T]) TryDeleteMin() (v T, ok bool) {
 	v = h.items[0]
 	h.items[0] = h.items[n-1]
 	var zero T
-	h.items[n-1] = zero
+	h.items[n-1] = zero // release reference for the GC
 	h.items = h.items[:n-1]
-	if len(h.items) > 0 {
-		siftDown(h.items, 0, h.less)
-	}
+	h.siftDown(0)
 	return v, true
 }
 
-// Len reports the number of elements.
-func (h *Heap[T]) Len() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.items)
-}
-
-// siftUp restores the heap property from index i toward the root. It is
-// shared by the locked Heap and the flat-combining FC heap; callers hold
-// whatever exclusion their structure requires.
-func siftUp[T any](items []T, i int, less func(a, b T) bool) {
+// siftUp restores the heap property from index i toward the root.
+func (h *minHeap[T]) siftUp(i int) {
+	items, less := h.items, h.less
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !less(items[i], items[parent]) {
@@ -77,7 +89,8 @@ func siftUp[T any](items []T, i int, less func(a, b T) bool) {
 }
 
 // siftDown restores the heap property from index i toward the leaves.
-func siftDown[T any](items []T, i int, less func(a, b T) bool) {
+func (h *minHeap[T]) siftDown(i int) {
+	items, less := h.items, h.less
 	n := len(items)
 	for {
 		left, right := 2*i+1, 2*i+2

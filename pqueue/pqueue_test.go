@@ -13,28 +13,27 @@ import (
 	"github.com/cds-suite/cds/internal/xrand"
 )
 
-func implementations() []struct {
+type impl struct {
 	name string
 	mk   func() cds.PriorityQueue[int]
-} {
-	return []struct {
-		name string
-		mk   func() cds.PriorityQueue[int]
-	}{
-		{name: "Heap", mk: func() cds.PriorityQueue[int] {
-			return NewHeap[int](func(a, b int) bool { return a < b })
-		}},
+}
+
+func implementations() []impl {
+	less := func(a, b int) bool { return a < b }
+	impls := []impl{
+		{name: "Heap", mk: func() cds.PriorityQueue[int] { return NewHeap[int](less) }},
 		{name: "SkipList", mk: func() cds.PriorityQueue[int] { return NewSkipList[int]() }},
-		{name: "FCHeap", mk: func() cds.PriorityQueue[int] {
-			return NewFC[int](func(a, b int) bool { return a < b })
-		}},
-		{name: "FCHeap/CC-Synch", mk: func() cds.PriorityQueue[int] {
-			return NewFC[int](func(a, b int) bool { return a < b }, WithBackend(contend.BackendCCSynch))
-		}},
-		{name: "FCHeap/DSM-Synch", mk: func() cds.PriorityQueue[int] {
-			return NewFC[int](func(a, b int) bool { return a < b }, WithBackend(contend.BackendDSMSynch))
-		}},
 	}
+	for _, be := range contend.Backends() {
+		name := "FCHeap"
+		if be != contend.BackendFlatCombining {
+			name += "/" + be.String()
+		}
+		impls = append(impls, impl{name: name, mk: func() cds.PriorityQueue[int] {
+			return NewFC[int](less, contend.WithBackend(be))
+		}})
+	}
+	return impls
 }
 
 func TestSequentialOrder(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	cds "github.com/cds-suite/cds"
+	"github.com/cds-suite/cds/internal/ring"
 )
 
 // Compile-time interface compliance checks.
@@ -18,15 +19,14 @@ var (
 	_ cds.BoundedQueue[int] = (*SPSC[int])(nil)
 )
 
-// Mutex is the coarse-locked baseline queue: a growable ring buffer guarded
-// by one sync.Mutex. Enqueuers and dequeuers serialise on the same lock.
+// Mutex is the coarse-locked baseline queue: a ring.Ring guarded by one
+// sync.Mutex, enqueued at the back and dequeued at the front. Enqueuers
+// and dequeuers serialise on the same lock.
 //
 // The zero value is an empty queue. Progress: blocking.
 type Mutex[T any] struct {
-	mu    sync.Mutex
-	buf   []T
-	head  int
-	count int
+	mu sync.Mutex
+	r  ring.Ring[T]
 }
 
 // NewMutex returns an empty coarse-locked queue.
@@ -37,11 +37,7 @@ func NewMutex[T any]() *Mutex[T] {
 // Enqueue adds v at the tail.
 func (q *Mutex[T]) Enqueue(v T) {
 	q.mu.Lock()
-	if q.count == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.count)%len(q.buf)] = v
-	q.count++
+	q.r.PushBack(v)
 	q.mu.Unlock()
 }
 
@@ -50,34 +46,12 @@ func (q *Mutex[T]) Enqueue(v T) {
 func (q *Mutex[T]) TryDequeue() (v T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.count == 0 {
-		return v, false
-	}
-	v = q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero // release reference for the GC
-	q.head = (q.head + 1) % len(q.buf)
-	q.count--
-	return v, true
+	return q.r.PopFront()
 }
 
 // Len reports the number of elements.
 func (q *Mutex[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.count
-}
-
-// grow doubles the ring capacity. Caller holds q.mu.
-func (q *Mutex[T]) grow() {
-	newCap := 2 * len(q.buf)
-	if newCap == 0 {
-		newCap = 8
-	}
-	buf := make([]T, newCap)
-	for i := 0; i < q.count; i++ {
-		buf[i] = q.buf[(q.head+i)%len(q.buf)]
-	}
-	q.buf = buf
-	q.head = 0
+	return q.r.Len()
 }

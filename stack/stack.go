@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	cds "github.com/cds-suite/cds"
+	"github.com/cds-suite/cds/internal/ring"
 )
 
 // Compile-time interface compliance checks.
@@ -13,14 +14,14 @@ var (
 	_ cds.Stack[int] = (*Elimination[int])(nil)
 )
 
-// Mutex is the coarse-locked baseline stack: a slice guarded by one
-// sync.Mutex. Simple, exact, and serial — the reference point for every
-// scalability figure.
+// Mutex is the coarse-locked baseline stack: a ring.Ring guarded by one
+// sync.Mutex, pushed and popped at the back. Simple, exact, and serial —
+// the reference point for every scalability figure.
 //
 // The zero value is an empty stack. Progress: blocking.
 type Mutex[T any] struct {
-	mu    sync.Mutex
-	items []T
+	mu sync.Mutex
+	r  ring.Ring[T]
 }
 
 // NewMutex returns an empty coarse-locked stack.
@@ -31,7 +32,7 @@ func NewMutex[T any]() *Mutex[T] {
 // Push adds v to the top of the stack.
 func (s *Mutex[T]) Push(v T) {
 	s.mu.Lock()
-	s.items = append(s.items, v)
+	s.r.PushBack(v)
 	s.mu.Unlock()
 }
 
@@ -40,19 +41,12 @@ func (s *Mutex[T]) Push(v T) {
 func (s *Mutex[T]) TryPop() (v T, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.items) == 0 {
-		return v, false
-	}
-	v = s.items[len(s.items)-1]
-	var zero T
-	s.items[len(s.items)-1] = zero // release reference for the GC
-	s.items = s.items[:len(s.items)-1]
-	return v, true
+	return s.r.PopBack()
 }
 
 // Len reports the number of elements.
 func (s *Mutex[T]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.items)
+	return s.r.Len()
 }
